@@ -226,7 +226,10 @@ func TestLiveClusterFacade(t *testing.T) {
 		}
 	}
 	lc.Reconfigure()
-	r.Get("obj") // populate
+	if _, _, _, err := r.Get("obj"); err != nil { // populate
+		t.Fatal(err)
+	}
+	r.Flush() // cache fills are async; wait before rereading
 	_, _, fromCache, err := r.Get("obj")
 	if err != nil {
 		t.Fatal(err)

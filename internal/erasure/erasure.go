@@ -13,6 +13,7 @@
 package erasure
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -64,9 +65,15 @@ type Codec struct {
 
 	coding *matrix.Matrix // (k+m) x k; top k rows are the identity
 
-	mu       sync.Mutex
-	invCache map[string]*matrix.Matrix // decode-matrix cache keyed by present-row signature
+	mu       sync.RWMutex
+	invCache map[rowSet]*matrix.Matrix // decode-matrix cache keyed by the k rows decoded from
 }
+
+// rowSet is a bitmask over chunk ids (k+m <= 256).
+type rowSet [4]uint64
+
+func (s *rowSet) add(i int)     { s[i/64] |= 1 << (i % 64) }
+func (s rowSet) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
 
 // New returns a codec with k data chunks and m parity chunks using the
 // Vandermonde construction.
@@ -79,7 +86,7 @@ func NewWith(k, m int, c Construction) (*Codec, error) {
 	if k <= 0 || m < 0 || k+m > 256 {
 		return nil, ErrInvalidParams
 	}
-	codec := &Codec{k: k, m: m, invCache: make(map[string]*matrix.Matrix)}
+	codec := &Codec{k: k, m: m, invCache: make(map[rowSet]*matrix.Matrix)}
 	switch c {
 	case Vandermonde:
 		codec.coding = systematicVandermonde(k, m)
@@ -154,12 +161,11 @@ func (c *Codec) Split(data []byte) ([][]byte, error) {
 	for i := 0; i < c.k; i++ {
 		chunks[i] = buf[i*chunkSize : (i+1)*chunkSize : (i+1)*chunkSize]
 	}
-	for i := c.k; i < c.Total(); i++ {
-		chunks[i] = make([]byte, chunkSize)
+	parity := make([]byte, c.m*chunkSize)
+	for i := 0; i < c.m; i++ {
+		chunks[c.k+i] = parity[i*chunkSize : (i+1)*chunkSize : (i+1)*chunkSize]
 	}
-	if err := c.Encode(chunks); err != nil {
-		return nil, err
-	}
+	code(c.coding, c.k, chunks[:c.k], chunks[c.k:])
 	return chunks, nil
 }
 
@@ -169,15 +175,7 @@ func (c *Codec) Encode(chunks [][]byte) error {
 	if err := c.checkShape(chunks, true); err != nil {
 		return err
 	}
-	size := len(chunks[0])
-	for i := c.k; i < c.Total(); i++ {
-		clear(chunks[i])
-		row := c.coding.RowView(i)
-		for j := 0; j < c.k; j++ {
-			mulAdd(row[j], chunks[j], chunks[i])
-		}
-	}
-	_ = size
+	code(c.coding, c.k, chunks[:c.k], chunks[c.k:])
 	return nil
 }
 
@@ -188,17 +186,15 @@ func (c *Codec) Verify(chunks [][]byte) (bool, error) {
 		return false, err
 	}
 	size := len(chunks[0])
-	scratch := make([]byte, size)
-	for i := c.k; i < c.Total(); i++ {
-		clear(scratch)
-		row := c.coding.RowView(i)
-		for j := 0; j < c.k; j++ {
-			mulAdd(row[j], chunks[j], scratch)
-		}
-		for b := range scratch {
-			if scratch[b] != chunks[i][b] {
-				return false, nil
-			}
+	scratch := make([]byte, c.m*size)
+	want := make([][]byte, c.m)
+	for i := range want {
+		want[i] = scratch[i*size : (i+1)*size]
+	}
+	code(c.coding, c.k, chunks[:c.k], want)
+	for i, w := range want {
+		if !bytes.Equal(w, chunks[c.k+i]) {
+			return false, nil
 		}
 	}
 	return true, nil
@@ -218,110 +214,101 @@ func (c *Codec) ReconstructData(chunks [][]byte) error {
 }
 
 func (c *Codec) reconstruct(chunks [][]byte, dataOnly bool) error {
-	if len(chunks) != c.Total() {
-		return ErrChunkCount
+	size, in, dec, err := c.decodePlan(chunks)
+	if err != nil {
+		return err
 	}
-	present := make([]int, 0, c.k)
-	size := -1
+	if dec != nil {
+		code(dec, 0, in, allocMissing(chunks[:c.k], size))
+	}
+	if !dataOnly {
+		// Recompute missing parity from the (now complete) data chunks.
+		code(c.coding, c.k, chunks[:c.k], allocMissing(chunks[c.k:], size))
+	}
+	return nil
+}
+
+// allocMissing allocates every nil chunk and returns the new chunks in
+// their slots, nil elsewhere: the output rows code has to compute.
+func allocMissing(chunks [][]byte, size int) [][]byte {
+	out := make([][]byte, len(chunks))
 	for i, ch := range chunks {
 		if ch == nil {
+			chunks[i] = make([]byte, size)
+			out[i] = chunks[i]
+		}
+	}
+	return out
+}
+
+// decodePlan validates a k+m slot set and returns the chunk size. When a
+// data chunk is missing it also returns the first k present chunks and the
+// matrix that maps them back to the k data chunks; when none is, both are
+// nil.
+func (c *Codec) decodePlan(chunks [][]byte) (size int, in [][]byte, dec *matrix.Matrix, err error) {
+	if len(chunks) != c.Total() {
+		return 0, nil, nil, ErrChunkCount
+	}
+	size = -1
+	present, allData := 0, true
+	var used rowSet // the first k present rows
+	for i, ch := range chunks {
+		if ch == nil {
+			allData = allData && i >= c.k
 			continue
 		}
 		if size == -1 {
 			size = len(ch)
 		} else if len(ch) != size {
-			return ErrChunkSizeMism
+			return 0, nil, nil, ErrChunkSizeMism
 		}
-		present = append(present, i)
-	}
-	if len(present) < c.k {
-		return ErrTooFewChunks
-	}
-
-	// Fast path: all data chunks already present.
-	allData := true
-	for i := 0; i < c.k; i++ {
-		if chunks[i] == nil {
-			allData = false
-			break
+		if present < c.k {
+			used.add(i)
 		}
+		present++
+	}
+	if present < c.k {
+		return 0, nil, nil, ErrTooFewChunks
 	}
 	if allData {
-		if dataOnly {
-			return nil
-		}
-		for i := c.k; i < c.Total(); i++ {
-			if chunks[i] == nil {
-				chunks[i] = make([]byte, size)
-			}
-		}
-		return c.Encode(chunks) // recompute any missing parity
+		return size, nil, nil, nil
 	}
-
-	rows := present[:c.k]
-	dec, err := c.decodeMatrix(rows)
+	dec, err = c.decodeMatrix(used)
 	if err != nil {
-		return err
+		return 0, nil, nil, err
 	}
-
-	// Recover the data chunks: data = dec * available.
-	avail := make([][]byte, c.k)
-	for i, r := range rows {
-		avail[i] = chunks[r]
-	}
-	for i := 0; i < c.k; i++ {
-		if chunks[i] != nil {
-			continue
+	in = make([][]byte, 0, c.k)
+	for i, ch := range chunks {
+		if used.has(i) {
+			in = append(in, ch)
 		}
-		out := make([]byte, size)
-		row := dec.RowView(i)
-		for j := 0; j < c.k; j++ {
-			mulAdd(row[j], avail[j], out)
-		}
-		chunks[i] = out
 	}
-	if dataOnly {
-		return nil
-	}
-	// Recompute missing parity from the (now complete) data chunks.
-	for i := c.k; i < c.Total(); i++ {
-		if chunks[i] != nil {
-			continue
-		}
-		out := make([]byte, size)
-		row := c.coding.RowView(i)
-		for j := 0; j < c.k; j++ {
-			mulAdd(row[j], chunks[j], out)
-		}
-		chunks[i] = out
-	}
-	return nil
+	return size, in, dec, nil
 }
 
-// decodeMatrix returns the inverse of the coding-matrix rows for the given
-// present chunk ids, cached per row signature.
-func (c *Codec) decodeMatrix(rows []int) (*matrix.Matrix, error) {
-	sig := make([]byte, len(rows))
-	for i, r := range rows {
-		sig[i] = byte(r)
-	}
-	key := string(sig)
-
-	c.mu.Lock()
-	dec, ok := c.invCache[key]
-	c.mu.Unlock()
+// decodeMatrix returns the inverse of the coding-matrix rows in used, cached
+// per row set.
+func (c *Codec) decodeMatrix(used rowSet) (*matrix.Matrix, error) {
+	c.mu.RLock()
+	dec, ok := c.invCache[used]
+	c.mu.RUnlock()
 	if ok {
 		return dec, nil
 	}
 
-	sub := c.coding.SelectRows(rows)
-	dec, err := sub.Invert()
+	rows := make([]int, 0, c.k)
+	for i := 0; i < c.Total(); i++ {
+		if used.has(i) {
+			rows = append(rows, i)
+		}
+	}
+	dec, err := c.coding.SelectRows(rows).Invert()
 	if err != nil {
 		return nil, fmt.Errorf("erasure: decode matrix for rows %v: %w", rows, err)
 	}
 
 	c.mu.Lock()
-	c.invCache[key] = dec
+	c.invCache[used] = dec
 	c.mu.Unlock()
 	return dec, nil
 }
@@ -350,6 +337,12 @@ func (c *Codec) Join(chunks [][]byte) ([]byte, error) {
 	for i := 0; i < c.k; i++ {
 		buf = append(buf, chunks[i]...)
 	}
+	return stripHeader(buf)
+}
+
+// stripHeader validates the length header of the concatenated data chunks
+// and returns the payload it frames.
+func stripHeader(buf []byte) ([]byte, error) {
 	n := binary.LittleEndian.Uint64(buf)
 	if n > uint64(len(buf)-headerSize) {
 		return nil, ErrSizeHeaderBroken
@@ -358,14 +351,31 @@ func (c *Codec) Join(chunks [][]byte) ([]byte, error) {
 }
 
 // Decode is the common read path: reconstruct missing data chunks from any k
-// available chunks, then join into the original object.
+// available chunks, then join into the original object. The k data chunks
+// are assembled in one buffer — present ones copied into place, missing ones
+// computed straight into it — so the input is neither mutated nor retained.
 func (c *Codec) Decode(chunks [][]byte) ([]byte, error) {
-	work := make([][]byte, len(chunks))
-	copy(work, chunks)
-	if err := c.ReconstructData(work); err != nil {
+	size, in, dec, err := c.decodePlan(chunks)
+	if err != nil {
 		return nil, err
 	}
-	return c.Join(work)
+	if size*c.k < headerSize {
+		return nil, ErrShortData
+	}
+	buf := make([]byte, c.k*size)
+	missing := make([][]byte, c.k)
+	for i := range missing {
+		dst := buf[i*size : (i+1)*size]
+		if chunks[i] != nil {
+			copy(dst, chunks[i])
+		} else {
+			missing[i] = dst
+		}
+	}
+	if dec != nil {
+		code(dec, 0, in, missing)
+	}
+	return stripHeader(buf)
 }
 
 func (c *Codec) checkShape(chunks [][]byte, needAll bool) error {

@@ -391,6 +391,7 @@ func BenchmarkEncode1MB_RS9_3(b *testing.B) {
 	data := make([]byte, 1<<20)
 	rand.New(rand.NewSource(1)).Read(data)
 	b.SetBytes(1 << 20)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := codec.Split(data); err != nil {
@@ -399,19 +400,50 @@ func BenchmarkEncode1MB_RS9_3(b *testing.B) {
 	}
 }
 
-func BenchmarkDecode1MB_RS9_3_WorstCase(b *testing.B) {
+// BenchmarkEncode1MB_RS9_3_InPlace recomputes parity into existing chunks: the
+// coding loop alone, no allocation or payload copy. tileSize was picked
+// with it.
+func BenchmarkEncode1MB_RS9_3_InPlace(b *testing.B) {
+	codec := mustCodec(b, 9, 3)
+	data := make([]byte, 1<<20)
+	rand.New(rand.NewSource(1)).Read(data)
+	chunks, _ := codec.Split(data)
+	b.SetBytes(1 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := codec.Encode(chunks); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchmarkDecode1MB decodes a 1 MiB object with the given chunks lost.
+func benchmarkDecode1MB(b *testing.B, lost ...int) {
 	codec := mustCodec(b, 9, 3)
 	data := make([]byte, 1<<20)
 	rand.New(rand.NewSource(2)).Read(data)
 	orig, _ := codec.Split(data)
 	b.SetBytes(1 << 20)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		chunks := make([][]byte, len(orig))
 		copy(chunks, orig)
-		chunks[0], chunks[1], chunks[2] = nil, nil, nil // lose 3 data chunks
+		for _, l := range lost {
+			chunks[l] = nil
+		}
 		if _, err := codec.Decode(chunks); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+func BenchmarkDecode1MB_RS9_3_WorstCase(b *testing.B) { benchmarkDecode1MB(b, 0, 1, 2) }
+
+// BenchmarkDecode1MB_RS9_3_Nearest is what a read from the nearest nine
+// chunks sees: one or two data chunks replaced by nearer parity chunks.
+func BenchmarkDecode1MB_RS9_3_Nearest(b *testing.B) {
+	b.Run("lost1", func(b *testing.B) { benchmarkDecode1MB(b, 4, 10, 11) })
+	b.Run("lost2", func(b *testing.B) { benchmarkDecode1MB(b, 4, 7, 11) })
 }

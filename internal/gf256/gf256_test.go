@@ -2,6 +2,7 @@ package gf256
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -288,15 +289,22 @@ func BenchmarkMul(b *testing.B) {
 	_ = acc
 }
 
+// BenchmarkMulAddSlice is sized at the benchmark workloads' chunk sizes:
+// 4 097 B (read-small) and 116 509 B (read-large).
 func BenchmarkMulAddSlice(b *testing.B) {
-	src := make([]byte, 64*1024)
-	dst := make([]byte, 64*1024)
-	for i := range src {
-		src[i] = byte(i * 31)
-	}
-	b.SetBytes(int64(len(src)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulAddSlice(0xA7, src, dst)
+	for _, n := range []int{4097, 116509} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			src := make([]byte, n)
+			dst := make([]byte, n)
+			for i := range src {
+				src[i] = byte(i * 31)
+			}
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MulAddSlice(0xA7, src, dst)
+			}
+		})
 	}
 }

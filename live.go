@@ -95,5 +95,10 @@ func (r *LiveReader) Get(key string) ([]byte, time.Duration, int, error) {
 	return r.inner.Read(key)
 }
 
+// Flush blocks until every cache fill queued by earlier reads has been
+// applied. Fills are asynchronous: without it, a read issued right after
+// the one that populates the cache may still miss.
+func (r *LiveReader) Flush() { r.inner.FlushPopulation() }
+
 // Close drops the reader's connections.
 func (r *LiveReader) Close() { r.inner.Close() }
