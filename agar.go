@@ -6,8 +6,9 @@
 // round-robin over a set of regions. Each region can run an Agar node: a
 // request monitor tracks object popularity (EWMA), a region manager probes
 // per-region chunk-read latencies, and a cache manager periodically solves
-// a multiple-choice knapsack — the paper's POPULATE/RELAX dynamic program —
-// to decide which objects to cache and with how many chunks. Clients
+// a multiple-choice knapsack — with the paper's POPULATE/RELAX dynamic
+// program in the simulated deployment, exactly in the live one — to decide
+// which objects to cache and with how many chunks. Clients
 // consult the node before each read and fetch hinted chunks from the local
 // cache and the rest from the backend, in parallel.
 //

@@ -43,7 +43,7 @@ func main() {
 		k         = flag.Int("k", 9, "data chunks per object")
 		m         = flag.Int("m", 3, "parity chunks per object")
 		objBytes  = flag.Int64("object-bytes", 1<<20, "object size for slot accounting")
-		solver    = flag.String("solver", "populate", "configuration solver: populate|exact|greedy")
+		solver    = flag.String("solver", "exact", "configuration solver: exact (the optimum, milliseconds) | populate (the paper's heuristic) | greedy")
 		peers     = flag.String("peers", "", "cooperative peer cache servers: region=host:port@latency[,...]")
 		digest    = flag.Duration("digest-period", time.Second, "how often residency digests push to peers")
 	)

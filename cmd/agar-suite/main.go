@@ -273,12 +273,14 @@ func run() int {
 		}
 		mdPath := filepath.Join(*out, "SCENARIOS.md")
 		// agar-bench -load and agar-suite -soak maintain marker-fenced
-		// sections in the same file; carry them forward verbatim so a suite
-		// rerun never erases the latest load curve or soak timeline.
+		// sections in the same file, and the solver-gap line is published
+		// in a third; carry them forward verbatim so a suite rerun never
+		// erases the latest load curve, soak timeline or gap.
 		if old, err := os.ReadFile(mdPath); err == nil {
 			for _, m := range [][2]string{
 				{scenario.LoadSectionBegin, scenario.LoadSectionEnd},
 				{scenario.SoakSectionBegin, scenario.SoakSectionEnd},
+				{scenario.SolverGapSectionBegin, scenario.SolverGapSectionEnd},
 			} {
 				if block, ok := scenario.ExtractMarked(string(old), m[0], m[1]); ok {
 					md.WriteString("\n" + block + "\n")

@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+
+	"github.com/agardist/agar/internal/cache"
 )
 
 // Config is a cache configuration: at most one caching option per object.
@@ -74,6 +77,12 @@ func (c *Config) ChunksFor(key string) []int {
 		return nil
 	}
 	return append([]int(nil), o.Chunks...)
+}
+
+// Holds reports whether the configuration assigns the chunk to the cache —
+// the admission rule of a cache governed by this configuration.
+func (c *Config) Holds(id cache.EntryID) bool {
+	return slices.Contains(c.Options[id.Key].Chunks, id.Index)
 }
 
 // String renders the configuration sorted by key for stable test output.

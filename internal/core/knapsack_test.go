@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -190,6 +191,180 @@ func TestExactMCKPKnownInstance(t *testing.T) {
 	}
 }
 
+// exactMCKPReference is the table formulation ExactMCKP shipped as before
+// it became the live solver: one 32-byte cell per (key, weight), options
+// pushed forward from every valid cell. It stays as the oracle the
+// single-row program is checked against.
+func exactMCKPReference(set *OptionSet, cacheSize int) *Config {
+	if cacheSize <= 0 {
+		return NewConfig()
+	}
+	type cell struct {
+		value  float64
+		valid  bool
+		optIdx int // option index within the key's list, -1 = skip key
+		prevW  int
+	}
+	keys := set.Keys
+	// dp[i][w]: best value using the first i keys at exactly weight w.
+	dp := make([][]cell, len(keys)+1)
+	for i := range dp {
+		dp[i] = make([]cell, cacheSize+1)
+	}
+	dp[0][0] = cell{valid: true, optIdx: -1}
+
+	for i, key := range keys {
+		opts := set.PerKey[key]
+		for w := 0; w <= cacheSize; w++ {
+			if !dp[i][w].valid {
+				continue
+			}
+			// Skip this key.
+			if cur := &dp[i+1][w]; !cur.valid || cur.value < dp[i][w].value {
+				*cur = cell{value: dp[i][w].value, valid: true, optIdx: -1, prevW: w}
+			}
+			// Take each option.
+			for oi, o := range opts {
+				nw := w + o.Weight
+				if o.Weight <= 0 || nw > cacheSize {
+					continue
+				}
+				nv := dp[i][w].value + o.Value
+				if cur := &dp[i+1][nw]; !cur.valid || cur.value < nv {
+					*cur = cell{value: nv, valid: true, optIdx: oi, prevW: w}
+				}
+			}
+		}
+	}
+
+	// Best final weight.
+	bestW, bestV := 0, -1.0
+	for w := 0; w <= cacheSize; w++ {
+		if dp[len(keys)][w].valid && dp[len(keys)][w].value > bestV {
+			bestW, bestV = w, dp[len(keys)][w].value
+		}
+	}
+
+	// Reconstruct.
+	cfg := NewConfig()
+	w := bestW
+	for i := len(keys); i > 0; i-- {
+		c := dp[i][w]
+		if c.optIdx >= 0 {
+			cfg.Add(set.PerKey[keys[i-1]][c.optIdx])
+		}
+		w = c.prevW
+	}
+	return cfg
+}
+
+// sameChoices fails the test unless both configurations pick the same
+// option for every key and agree on weight and on value bit for bit.
+func sameChoices(t *testing.T, label string, got, want *Config) {
+	t.Helper()
+	if got.Weight != want.Weight || math.Float64bits(got.Value) != math.Float64bits(want.Value) {
+		t.Fatalf("%s: got w=%d v=%v, reference w=%d v=%v", label, got.Weight, got.Value, want.Weight, want.Value)
+	}
+	if len(got.Options) != len(want.Options) {
+		t.Fatalf("%s: got %d configured keys, reference %d", label, len(got.Options), len(want.Options))
+	}
+	for key, w := range want.Options {
+		if g, ok := got.Options[key]; !ok || g.Weight != w.Weight || g.Value != w.Value {
+			t.Fatalf("%s: key %s got %v, reference %v", label, key, g, w)
+		}
+	}
+}
+
+// TestExactMCKPMatchesReference is the seeded differential test: on random
+// instances up to 400 keys x 1000 slots the single-row program, run on one
+// scratch reused from instance to instance the way a CacheManager reuses
+// it, must make the reference's choice for every key.
+func TestExactMCKPMatchesReference(t *testing.T) {
+	instances := 240
+	if testing.Short() {
+		instances = 40
+	}
+	r := rand.New(rand.NewSource(22))
+	var scratch mckpScratch
+	for n := 0; n < instances; n++ {
+		keys, slots, k := 1+r.Intn(400), 1+r.Intn(1000), 3
+		if n%2 == 1 {
+			k = 9
+		}
+		if n%8 == 0 { // small instances, where the cache holds every key's heaviest option
+			keys, slots = 1+r.Intn(12), 1+r.Intn(120)
+		}
+		set := randomOptionSet(r, keys, k)
+		label := fmt.Sprintf("instance %d (%d keys x %d slots, k=%d)", n, keys, slots, k)
+		want := exactMCKPReference(set, slots)
+		sameChoices(t, label, scratch.solve(set, slots), want)
+		configIsValid(t, want, set, slots)
+	}
+}
+
+// TestExactMCKPTieBreak pins the order ties resolve in: higher value, then
+// lower total weight, then slots to the key earlier in OptionSet.Keys.
+func TestExactMCKPTieBreak(t *testing.T) {
+	// a, b and c are interchangeable (Keys orders them by name) and the
+	// cache holds two of them: the earlier two win.
+	same := func(key string) []Option {
+		return []Option{{Key: key, Weight: 1, Value: 4}, {Key: key, Weight: 2, Value: 10}}
+	}
+	set := NewOptionSet(map[string][]Option{"c": same("c"), "a": same("a"), "b": same("b")})
+	cfg := ExactMCKP(set, 4)
+	if cfg.Value != 20 || cfg.Weight != 4 || cfg.Options["a"].Weight != 2 || cfg.Options["b"].Weight != 2 {
+		t.Fatalf("equal keys: %v, want a and b at weight 2", cfg)
+	}
+	// With one slot over, the spare goes to nobody's heavier option but to
+	// the next key in order, still worth more than leaving it empty.
+	if cfg = ExactMCKP(set, 5); cfg.Value != 24 || cfg.Options["c"].Weight != 1 {
+		t.Fatalf("cache 5: %v, want c at weight 1", cfg)
+	}
+	// Equal value at different weights: the lighter configuration wins, so
+	// a heavier option that adds nothing is never taken.
+	flat := NewOptionSet(map[string][]Option{
+		"k": {{Key: "k", Weight: 1, Value: 7}, {Key: "k", Weight: 2, Value: 7}, {Key: "k", Weight: 3, Value: 7}},
+	})
+	if cfg = ExactMCKP(flat, 3); cfg.Weight != 1 || cfg.Value != 7 {
+		t.Fatalf("flat options: %v, want weight 1", cfg)
+	}
+	// One key's heavy option against two keys' light ones at the same value
+	// and weight: the later key yields.
+	split := NewOptionSet(map[string][]Option{
+		"a": {{Key: "a", Weight: 1, Value: 5}, {Key: "a", Weight: 2, Value: 10}},
+		"b": {{Key: "b", Weight: 1, Value: 5}, {Key: "b", Weight: 2, Value: 10}},
+	})
+	if cfg = ExactMCKP(split, 2); cfg.Options["a"].Weight != 2 || len(cfg.Options) != 1 {
+		t.Fatalf("split: %v, want a alone at weight 2", cfg)
+	}
+}
+
+// TestExactMCKPSteadyStateAllocs: once the scratch has seen an instance of
+// this shape, a solve allocates the Config it returns and next to nothing
+// else — in particular nothing that scales with keys x slots.
+func TestExactMCKPSteadyStateAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	first, second := randomOptionSet(r, 300, 9), randomOptionSet(r, 300, 9)
+	const slots = 540
+	var scratch mckpScratch
+	scratch.solve(first, slots)
+	var cfg *Config
+	solve := testing.AllocsPerRun(5, func() { cfg = scratch.solve(second, slots) })
+	// What returning that Config costs on its own: the same options added
+	// to a fresh one.
+	config := testing.AllocsPerRun(5, func() {
+		out := NewConfig()
+		for _, key := range second.Keys {
+			if o, ok := cfg.Options[key]; ok {
+				out.Add(o)
+			}
+		}
+	})
+	if solve-config > 8 {
+		t.Fatalf("steady-state solve made %.0f allocations, %.0f of them the Config: want at most 8 more", solve, config)
+	}
+}
+
 func TestGreedyCanErr(t *testing.T) {
 	// Classic knapsack trap: density-greedy takes the small dense item and
 	// wastes capacity. greedy < exact here proves the baseline is honest.
@@ -329,5 +504,72 @@ func BenchmarkExactMCKP300Keys(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ExactMCKP(set, 90)
+	}
+}
+
+// zipfOptionSet is the option set a live cluster's manager solves over:
+// Zipfian popularity (20000 requests' worth, as the repository benchmark
+// records) valued by GenerateOptions on the default deployment as seen from
+// Frankfurt.
+func zipfOptionSet(nKeys int, skew float64) *OptionSet {
+	m := geo.DefaultMatrix()
+	p := geo.NewRoundRobin(geo.DefaultRegions(), false)
+	total := 0.0
+	for i := 0; i < nKeys; i++ {
+		total += math.Pow(float64(i+1), -skew)
+	}
+	perKey := make(map[string][]Option, nKeys)
+	for i := 0; i < nKeys; i++ {
+		key := fmt.Sprintf("object-%05d", i)
+		pop := 20000 * math.Pow(float64(i+1), -skew) / total
+		plan := geo.PlanFetch(m, p, key, 12, geo.Frankfurt)
+		perKey[key] = GenerateOptions(key, pop, plan, 9, DefaultWeightGrid(9), 20*time.Millisecond)
+	}
+	return NewOptionSet(perKey)
+}
+
+var benchConfig *Config
+
+// BenchmarkSolve times the three solvers on Zipf-valued option sets — the
+// repository benchmark's four shapes (read-large 200x180, read-small
+// 400x360, write-heavy 100x900, wan-mixed 240x432, each at its workload's
+// skew), then paper scale and well past it — reporting each one's share of
+// the optimum. The exact solver runs on a scratch kept between iterations,
+// as a CacheManager keeps it between periods. POPULATE stops at 1000 keys,
+// where it needs tens of seconds.
+func BenchmarkSolve(b *testing.B) {
+	shapes := []struct {
+		keys, slots int
+		skew        float64
+	}{
+		{200, 180, 1.1}, {400, 360, 0.9}, {100, 900, 0.9}, {240, 432, 1.1},
+		{1000, 900, 1.1}, {3000, 2700, 1.1}, {10000, 4096, 1.1},
+	}
+	var scratch mckpScratch
+	solvers := []struct {
+		name    string
+		maxKeys int
+		solve   func(*OptionSet, int) *Config
+	}{
+		{"populate", 1000, func(set *OptionSet, slots int) *Config { return Populate(set, slots, PopulateParams{}) }},
+		{"exact", math.MaxInt, scratch.solve},
+		{"greedy", math.MaxInt, Greedy},
+	}
+	for _, sv := range solvers {
+		for _, sh := range shapes {
+			if sh.keys > sv.maxKeys {
+				continue
+			}
+			b.Run(fmt.Sprintf("%s/%dx%d", sv.name, sh.keys, sh.slots), func(b *testing.B) {
+				set := zipfOptionSet(sh.keys, sh.skew)
+				optimum := scratch.solve(set, sh.slots).Value
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchConfig = sv.solve(set, sh.slots)
+				}
+				b.ReportMetric(benchConfig.Value/optimum, "value/optimum")
+			})
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,10 +14,13 @@ import (
 type Solver int
 
 const (
-	// SolverPopulate is the paper's POPULATE/RELAX dynamic program
-	// (default).
+	// SolverPopulate is the paper's POPULATE/RELAX dynamic program, the
+	// default of a bare ManagerParams and what the simulated plane and the
+	// paper's figures run.
 	SolverPopulate Solver = iota + 1
-	// SolverExact is the exact multiple-choice-knapsack reference.
+	// SolverExact is the exact multiple-choice-knapsack program — the
+	// optimum POPULATE approximates, in milliseconds. Every live deployment
+	// runs it.
 	SolverExact
 	// SolverGreedy is the density-greedy heuristic (ablation baseline).
 	SolverGreedy
@@ -63,10 +67,35 @@ type CacheManager struct {
 	regions *RegionManager
 	store   *cache.Cache
 
-	mu     sync.Mutex
-	active *Config
-	runs   int
-	peers  []PeerInfo
+	// planMu admits one planning run at a time: a reconfiguration is
+	// compared with, and replaces, the configuration before it, and the
+	// exact solver's scratch is kept from period to period.
+	planMu  sync.Mutex
+	scratch mckpScratch
+
+	mu       sync.Mutex
+	active   *Config
+	runs     int
+	lastRun  ReconfigRun
+	observer func(ReconfigRun)
+	peers    []PeerInfo
+}
+
+// ReconfigRun describes one completed reconfiguration.
+type ReconfigRun struct {
+	// Solver is the algorithm that chose the configuration.
+	Solver Solver
+	// Duration covers the whole run: closing the monitor's period, building
+	// the option set, solving, and publishing the result.
+	Duration time.Duration
+	// Value and Weight are the new configuration's.
+	Value  float64
+	Weight int
+	// Keys is how many objects had options to choose from.
+	Keys int
+	// MovedKeys is how many objects' configured chunk sets differ from the
+	// configuration this run replaced (added, dropped, grown or shrunk).
+	MovedKeys int
 }
 
 // NewCacheManager wires a manager to its monitor, region manager and cache.
@@ -80,6 +109,10 @@ func NewCacheManager(params ManagerParams, monitor PopularitySource, regions *Re
 	if params.WeightGrid == nil {
 		params.WeightGrid = DefaultWeightGrid(params.K)
 	}
+	// Options come out in grid order and every solver wants them by
+	// increasing weight.
+	params.WeightGrid = slices.Clone(params.WeightGrid)
+	slices.Sort(params.WeightGrid)
 	if params.Solver == 0 {
 		params.Solver = SolverPopulate
 	}
@@ -106,67 +139,126 @@ func (cm *CacheManager) Runs() int {
 	return cm.runs
 }
 
+// LastRun describes the most recent reconfiguration (the zero value before
+// the first).
+func (cm *CacheManager) LastRun() ReconfigRun {
+	cm.mu.Lock()
+	defer cm.mu.Unlock()
+	return cm.lastRun
+}
+
+// OnReconfigure registers fn to be called after every reconfiguration with
+// that run's description, replacing any earlier registration. fn runs on
+// the reconfiguring goroutine once the new configuration is in force.
+func (cm *CacheManager) OnReconfigure(fn func(ReconfigRun)) {
+	cm.mu.Lock()
+	cm.observer = fn
+	cm.mu.Unlock()
+}
+
 // Reconfigure closes the monitor's period, recomputes the ideal
-// configuration, applies it to the cache, and returns it.
+// configuration, puts it in force, and returns it.
+//
+// The configuration governs two things — the hints clients are given and
+// the inserts the cache admits — and both switch under one hold of cm.mu,
+// so a client is never hinted a chunk the cache would turn away. Configured
+// chunks are not prefetched: clients populate them on their next read,
+// exactly as Agar's hint flow works. Chunks that left the configuration are
+// not deleted eagerly: as in the memcached-backed prototype, they simply
+// stop being read and the cache's LRU policy evicts them when space is
+// needed, so an object that briefly drops out of the configuration and
+// returns keeps its chunks warm.
 func (cm *CacheManager) Reconfigure() *Config {
-	popularity := cm.monitor.EndPeriod()
-	cfg := cm.Compute(popularity)
-	cm.apply(cfg)
+	cfg, run, observer := cm.reconfigure()
+	if observer != nil {
+		observer(run)
+	}
+	return cfg
+}
+
+func (cm *CacheManager) reconfigure() (*Config, ReconfigRun, func(ReconfigRun)) {
+	cm.planMu.Lock()
+	defer cm.planMu.Unlock()
+	start := time.Now()
+	cfg, keys := cm.compute(cm.monitor.EndPeriod())
+	run := ReconfigRun{
+		Solver:    cm.params.Solver,
+		Value:     cfg.Value,
+		Weight:    cfg.Weight,
+		Keys:      keys,
+		MovedKeys: movedKeys(cm.Active(), cfg),
+	}
 
 	cm.mu.Lock()
+	defer cm.mu.Unlock()
+	if cm.store != nil {
+		cm.store.SetAdmission(cfg.Holds)
+	}
 	cm.active = cfg
 	cm.runs++
-	cm.mu.Unlock()
-	return cfg
+	run.Duration = time.Since(start)
+	cm.lastRun = run
+	return cfg, run, cm.observer
+}
+
+// movedKeys counts the keys whose configured chunks differ between two
+// configurations.
+func movedKeys(old, cfg *Config) int {
+	moved := 0
+	for key, o := range cfg.Options {
+		if prev, ok := old.Options[key]; !ok || !slices.Equal(prev.Chunks, o.Chunks) {
+			moved++
+		}
+	}
+	for key := range old.Options {
+		if _, ok := cfg.Options[key]; !ok {
+			moved++
+		}
+	}
+	return moved
 }
 
 // Compute derives the ideal configuration for a popularity snapshot without
 // touching the cache — the planning core, exposed for tests and ablations.
 func (cm *CacheManager) Compute(popularity map[string]float64) *Config {
+	cm.planMu.Lock()
+	defer cm.planMu.Unlock()
+	cfg, _ := cm.compute(popularity)
+	return cfg
+}
+
+// compute is Compute under planMu, also reporting how many keys the solver
+// chose among.
+func (cm *CacheManager) compute(popularity map[string]float64) (*Config, int) {
+	plan := cm.regions.planner()
+	peers := cm.Peers()
 	perKey := make(map[string][]Option, len(popularity))
 	for key, pop := range popularity {
 		if pop <= 0 {
 			continue
 		}
-		plan := cm.regions.Plan(key)
 		// Cooperative caching (SVI): chunks resident in peer caches are
 		// already cheap, so options are valued against the adjusted plan
 		// and the knapsack spends local slots elsewhere.
-		plan = adjustPlanForPeers(plan, cm.peerResidency(key))
-		opts := GenerateOptions(key, pop, plan, cm.params.K, cm.params.WeightGrid, cm.params.CacheLatency)
+		adjusted := adjustPlanForPeers(plan(key), peerResidency(peers, key))
+		opts := GenerateOptions(key, pop, adjusted, cm.params.K, cm.params.WeightGrid, cm.params.CacheLatency)
 		if len(opts) > 0 {
 			perKey[key] = opts
 		}
 	}
-	set := NewOptionSet(perKey)
+	// GenerateOptions emits one option per grid weight in grid order, and
+	// the grid is ascending, so the slices are used as they are.
+	set := orderOptionSet(perKey)
+	var cfg *Config
 	switch cm.params.Solver {
 	case SolverExact:
-		return ExactMCKP(set, cm.params.CacheSlots)
+		cfg = cm.scratch.solve(set, cm.params.CacheSlots)
 	case SolverGreedy:
-		return Greedy(set, cm.params.CacheSlots)
+		cfg = Greedy(set, cm.params.CacheSlots)
 	default:
-		return Populate(set, cm.params.CacheSlots, PopulateParams{EarlyStop: cm.params.EarlyStop})
+		cfg = Populate(set, cm.params.CacheSlots, PopulateParams{EarlyStop: cm.params.EarlyStop})
 	}
-}
-
-// apply points the cache's admission filter at the new configuration.
-// Configured chunks are not prefetched — clients populate them on their
-// next read, exactly as Agar's hint flow works. Chunks that left the
-// configuration are not deleted eagerly: as in the memcached-backed
-// prototype, they simply stop being read and the cache's LRU policy evicts
-// them when space is needed, so an object that briefly drops out of the
-// configuration and returns keeps its chunks warm.
-func (cm *CacheManager) apply(cfg *Config) {
-	if cm.store == nil {
-		return
-	}
-	allowed := make(map[cache.EntryID]bool)
-	for key, opt := range cfg.Options {
-		for _, idx := range opt.Chunks {
-			allowed[cache.EntryID{Key: key, Index: idx}] = true
-		}
-	}
-	cm.store.SetAdmission(func(id cache.EntryID) bool { return allowed[id] })
+	return cfg, len(set.Keys)
 }
 
 // Hint is the answer the request monitor hands a client before a read
@@ -221,7 +313,7 @@ func (cm *CacheManager) HintFor(key string) Hint {
 
 // withPeerChunks annotates a hint with chunks readable from peer caches.
 func (cm *CacheManager) withPeerChunks(h Hint) Hint {
-	resident := cm.peerResidency(h.Key)
+	resident := peerResidency(cm.Peers(), h.Key)
 	if len(resident) == 0 {
 		return h
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -185,6 +186,139 @@ func TestManagerSolverVariants(t *testing.T) {
 	}
 	if values[SolverGreedy] > values[SolverExact]+1e-6 {
 		t.Fatalf("greedy (%v) beat exact (%v)?", values[SolverGreedy], values[SolverExact])
+	}
+}
+
+// alternatingSource is a popularity source whose periods close on two
+// snapshots in turn.
+type alternatingSource struct {
+	snapshots [2]map[string]float64
+	periods   int
+}
+
+func (a *alternatingSource) Record(string) {}
+
+func (a *alternatingSource) EndPeriod() map[string]float64 {
+	a.periods++
+	return a.snapshots[a.periods%2]
+}
+
+// newExactManager builds a manager on the exact solver over Frankfurt's view
+// of the default deployment, governing a cache of the given slot count.
+func newExactManager(source PopularitySource, slots int) (*CacheManager, *cache.Cache) {
+	matrix := geo.DefaultMatrix()
+	rm := NewRegionManager(geo.Frankfurt, geo.DefaultRegions(), geo.NewRoundRobin(geo.DefaultRegions(), false), 12)
+	rm.WarmUp(func(r geo.RegionID) time.Duration { return matrix.Get(geo.Frankfurt, r) }, 1)
+	store := cache.New(int64(slots)*testChunkBytes, cache.NewLRU())
+	cm := NewCacheManager(ManagerParams{
+		K:            9,
+		CacheSlots:   slots,
+		CacheLatency: 20 * time.Millisecond,
+		Solver:       SolverExact,
+	}, source, rm, store)
+	return cm, store
+}
+
+// TestReconfigurePublishesHintsAndAdmissionTogether alternates two
+// configurations through back-to-back reconfigurations while another
+// goroutine inserts chunks the active configuration names. A put that ran
+// entirely under one configuration must be admitted: hints and admission
+// switch together. (Hints also carry already-resident chunks, which an
+// old configuration's admission may no longer cover, so only the configured
+// set is checked.) Run under -race.
+func TestReconfigurePublishesHintsAndAdmissionTogether(t *testing.T) {
+	source := &alternatingSource{snapshots: [2]map[string]float64{
+		{"object-a": 100, "object-b": 1},
+		{"object-a": 1, "object-b": 100},
+	}}
+	cm, store := newExactManager(source, 9)
+	first, second := cm.Reconfigure(), cm.Reconfigure()
+	if len(first.ChunksFor("object-b")) == len(second.ChunksFor("object-b")) {
+		t.Fatalf("the two snapshots configure object-b alike: %v and %v", first, second)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				cm.Reconfigure()
+			}
+		}
+	}()
+
+	payload := make([]byte, 8)
+	checked := 0
+	for i := 0; i < 20000 || checked < 100; i++ {
+		key := [2]string{"object-a", "object-b"}[i%2]
+		before := cm.Active()
+		rejects := store.Stats().AdmissionRejects
+		chunks := before.ChunksFor(key)
+		for _, idx := range chunks {
+			if err := store.Put(cache.EntryID{Key: key, Index: idx}, payload); err != nil {
+				t.Errorf("put %s#%d: %v", key, idx, err)
+			}
+		}
+		if cm.Active() != before {
+			continue // a reconfiguration overlapped the puts
+		}
+		checked++
+		if got := store.Stats().AdmissionRejects - rejects; got != 0 {
+			t.Errorf("%d of %s's configured chunks %v refused while their configuration was active", got, key, chunks)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if checked < 100 {
+		t.Fatalf("only %d put rounds ran under a single configuration", checked)
+	}
+}
+
+// TestManagerLastRun checks the description a reconfiguration leaves behind
+// and hands its observer.
+func TestManagerLastRun(t *testing.T) {
+	source := &alternatingSource{snapshots: [2]map[string]float64{
+		{"object-a": 100, "object-b": 1, "object-c": 0},
+		{"object-a": 1, "object-b": 100},
+	}}
+	cm, _ := newExactManager(source, 9)
+	if run := cm.LastRun(); run != (ReconfigRun{}) {
+		t.Fatalf("run before any reconfiguration: %+v", run)
+	}
+	var observed []ReconfigRun
+	cm.OnReconfigure(func(run ReconfigRun) { observed = append(observed, run) })
+
+	cfg := cm.Reconfigure() // the second snapshot: periods close on [1] first
+	run := cm.LastRun()
+	if run.Solver != SolverExact || run.Value != cfg.Value || run.Weight != cfg.Weight || run.Keys != 2 {
+		t.Fatalf("first run %+v for config %v", run, cfg)
+	}
+	if run.MovedKeys != len(cfg.Options) || run.Duration <= 0 {
+		t.Fatalf("first run moved %d keys in %v, config holds %d", run.MovedKeys, run.Duration, len(cfg.Options))
+	}
+	next := cm.Reconfigure()
+	moved := 0
+	for _, key := range []string{"object-a", "object-b"} {
+		if fmt.Sprint(cfg.ChunksFor(key)) != fmt.Sprint(next.ChunksFor(key)) {
+			moved++
+		}
+	}
+	if run = cm.LastRun(); run.MovedKeys != moved || moved == 0 || run.Keys != 2 {
+		t.Fatalf("second run %+v, want %d moved keys of 2 (object-c has no popularity)", run, moved)
+	}
+	if len(observed) != 2 || observed[1] != run {
+		t.Fatalf("observer saw %+v, last run %+v", observed, run)
+	}
+	cm.Reconfigure()
+	cm.Reconfigure()
+	if got := cm.LastRun().MovedKeys; got != moved {
+		t.Fatalf("alternating back moved %d keys, want %d", got, moved)
 	}
 }
 

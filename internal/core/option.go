@@ -2,9 +2,10 @@
 // cache-configuration machinery.
 //
 // It contains the caching-option generator (§IV-A), the POPULATE/RELAX
-// dynamic program that chooses cache contents (§IV-B, Figures 4 and 5), an
-// exact multiple-choice-knapsack reference solver and the greedy heuristic
-// the paper argues against (§II-D), the EWMA-based request monitor, the
+// dynamic program that chooses cache contents (§IV-B, Figures 4 and 5) on
+// the simulated plane, the exact multiple-choice-knapsack solver live
+// deployments run in its place, the greedy heuristic the paper argues
+// against (§II-D), the EWMA-based request monitor, the
 // latency-probing region manager, and the cache manager that periodically
 // recomputes and applies the configuration (§III).
 package core
@@ -78,7 +79,14 @@ func GenerateOptions(key string, popularity float64, plan geo.FetchPlan, k int, 
 	if popularity < 0 {
 		popularity = 0
 	}
-	baseline := residualLatency(plan, k, nil, cacheLat)
+	retained := min(k, len(plan.Chunks))
+	// Every option caches a prefix of the retained chunks taken
+	// furthest-first, so all of a key's options share one backing array.
+	furthest := make([]int, retained)
+	for i, c := range plan.Chunks[:retained] {
+		furthest[retained-1-i] = c
+	}
+	baseline := residualLatency(plan, retained, 0, cacheLat)
 	out := make([]Option, 0, len(grid))
 	for _, w := range grid {
 		if w <= 0 {
@@ -87,20 +95,15 @@ func GenerateOptions(key string, popularity float64, plan geo.FetchPlan, k int, 
 		if w > k {
 			w = k
 		}
-		chunks := plan.FurthestRetained(k, w)
-		excl := make(map[int]bool, len(chunks))
-		for _, c := range chunks {
-			excl[c] = true
-		}
-		residual := residualLatency(plan, k, excl, cacheLat)
-		improvement := baseline - residual
+		cached := min(w, retained)
+		improvement := baseline - residualLatency(plan, retained, cached, cacheLat)
 		if improvement < 0 {
 			improvement = 0
 		}
 		out = append(out, Option{
 			Key:    key,
-			Chunks: chunks,
-			Weight: len(chunks),
+			Chunks: furthest[:cached:cached],
+			Weight: cached,
 			// Value in popularity-weighted milliseconds; nanosecond counts
 			// divide exactly for the latencies used here.
 			Value: popularity * float64(improvement) / float64(time.Millisecond),
@@ -112,13 +115,17 @@ func GenerateOptions(key string, popularity float64, plan geo.FetchPlan, k int, 
 	return out
 }
 
-// residualLatency is the latency the client still pays with the excluded
-// chunks cached: the furthest remaining backend chunk, or the local cache
-// access when everything needed is cached. Cache reads happen in parallel
-// with backend reads, so the cache latency also floors the result.
-func residualLatency(plan geo.FetchPlan, k int, cached map[int]bool, cacheLat time.Duration) time.Duration {
-	rem := time.Duration(plan.MaxLatencyExcluding(k, cached))
-	if len(cached) > 0 && rem < cacheLat {
+// residualLatency is the latency the client still pays with the furthest
+// `cached` of the plan's `retained` nearest chunks in the cache: the
+// furthest remaining backend chunk, or the local cache access when
+// everything needed is cached. Cache reads happen in parallel with backend
+// reads, so the cache latency also floors the result.
+func residualLatency(plan geo.FetchPlan, retained, cached int, cacheLat time.Duration) time.Duration {
+	var rem time.Duration
+	for _, lat := range plan.Latency[:retained-cached] {
+		rem = max(rem, time.Duration(lat))
+	}
+	if cached > 0 && rem < cacheLat {
 		rem = cacheLat
 	}
 	return rem
@@ -134,32 +141,45 @@ type OptionSet struct {
 }
 
 // NewOptionSet assembles and orders an option set from per-key options.
+// The caller's slices are copied, not kept.
 func NewOptionSet(perKey map[string][]Option) *OptionSet {
-	s := &OptionSet{PerKey: make(map[string][]Option, len(perKey))}
+	sorted := make(map[string][]Option, len(perKey))
 	for key, opts := range perKey {
 		cp := append([]Option(nil), opts...)
 		sort.Slice(cp, func(i, j int) bool { return cp[i].Weight < cp[j].Weight })
-		s.PerKey[key] = cp
-		s.Keys = append(s.Keys, key)
+		sorted[key] = cp
 	}
-	sort.Slice(s.Keys, func(i, j int) bool {
-		vi, vj := s.bestValue(s.Keys[i]), s.bestValue(s.Keys[j])
-		if vi != vj {
-			return vi > vj
-		}
-		return s.Keys[i] < s.Keys[j] // deterministic tie-break
-	})
-	return s
+	return orderOptionSet(sorted)
 }
 
-func (s *OptionSet) bestValue(key string) float64 {
-	best := 0.0
-	for _, o := range s.PerKey[key] {
-		if o.Value > best {
-			best = o.Value
-		}
+// orderOptionSet builds the set around perKey itself, whose slices must
+// already be sorted by increasing weight, and orders the keys.
+func orderOptionSet(perKey map[string][]Option) *OptionSet {
+	type ranked struct {
+		key  string
+		best float64
 	}
-	return best
+	keys := make([]ranked, 0, len(perKey))
+	for key, opts := range perKey {
+		r := ranked{key: key}
+		for _, o := range opts {
+			if o.Value > r.best {
+				r.best = o.Value
+			}
+		}
+		keys = append(keys, r)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].best != keys[j].best {
+			return keys[i].best > keys[j].best
+		}
+		return keys[i].key < keys[j].key // deterministic tie-break
+	})
+	s := &OptionSet{PerKey: perKey, Keys: make([]string, len(keys))}
+	for i, r := range keys {
+		s.Keys[i] = r.key
+	}
+	return s
 }
 
 // Search returns the option for the key with exactly the given weight.

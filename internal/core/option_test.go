@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -119,6 +122,82 @@ func TestGenerateOptionsMonotonic(t *testing.T) {
 		}
 		if opts[i].Weight != opts[i-1].Weight+1 {
 			t.Fatalf("weights not consecutive: %d -> %d", opts[i-1].Weight, opts[i].Weight)
+		}
+	}
+}
+
+// generateOptionsBySets is GenerateOptions spelled the way §IV-A reads: the
+// weight-w option caches FurthestRetained(k, w) and is valued by the
+// furthest chunk still fetched once that set is excluded.
+func generateOptionsBySets(key string, popularity float64, plan geo.FetchPlan, k int, grid []int, cacheLat time.Duration) []Option {
+	popularity = max(popularity, 0)
+	residual := func(cached map[int]bool) time.Duration {
+		rem := time.Duration(plan.MaxLatencyExcluding(k, cached))
+		if len(cached) > 0 && rem < cacheLat {
+			rem = cacheLat
+		}
+		return rem
+	}
+	var out []Option
+	for _, w := range grid {
+		if w <= 0 {
+			continue
+		}
+		w = min(w, k)
+		chunks := plan.FurthestRetained(k, w)
+		cached := make(map[int]bool, len(chunks))
+		for _, c := range chunks {
+			cached[c] = true
+		}
+		improvement := max(residual(nil)-residual(cached), 0)
+		out = append(out, Option{Key: key, Chunks: chunks, Weight: len(chunks),
+			Value: popularity * float64(improvement) / float64(time.Millisecond)})
+		if w == k {
+			break
+		}
+	}
+	return out
+}
+
+// TestGenerateOptionsMatchesSetFormulation checks the allocation-light
+// generator against the set formulation on rotated placements, peer-adjusted
+// plans, plans shorter than k and both weight grids.
+func TestGenerateOptionsMatchesSetFormulation(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	m := geo.DefaultMatrix()
+	p := geo.NewRoundRobin(geo.DefaultRegions(), true)
+	for n := 0; n < 300; n++ {
+		key := fmt.Sprintf("object-%d", r.Intn(1000))
+		total := 12
+		if n%7 == 0 {
+			total = 1 + r.Intn(12) // fewer chunks than k
+		}
+		plan := geo.PlanFetch(m, p, key, total, geo.RegionID(r.Intn(6)))
+		if n%3 == 0 {
+			resident := map[int]PeerInfo{}
+			for c := 0; c < total; c++ {
+				if r.Intn(3) == 0 {
+					resident[c] = PeerInfo{Region: geo.Dublin, Latency: time.Duration(r.Intn(400)) * time.Millisecond}
+				}
+			}
+			plan = adjustPlanForPeers(plan, resident)
+		}
+		grid := DefaultWeightGrid(9)
+		if n%2 == 0 {
+			grid = PaperWeightGrid(9)
+		}
+		cacheLat := time.Duration(r.Intn(3)) * 20 * time.Millisecond
+		pop := r.Float64() * 100
+		got := GenerateOptions(key, pop, plan, 9, grid, cacheLat)
+		want := generateOptionsBySets(key, pop, plan, 9, grid, cacheLat)
+		if len(got) != len(want) {
+			t.Fatalf("case %d: %d options, want %d", n, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Weight != want[i].Weight || got[i].Value != want[i].Value ||
+				!slices.Equal(got[i].Chunks, want[i].Chunks) {
+				t.Fatalf("case %d option %d: got %v, want %v", n, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -61,10 +61,9 @@ func (cm *CacheManager) Peers() []PeerInfo {
 	return out
 }
 
-// peerResidency returns, for one object, the chunks resident in peer caches
-// and the cheapest peer latency for each.
-func (cm *CacheManager) peerResidency(key string) map[int]PeerInfo {
-	peers := cm.Peers()
+// peerResidency returns, for one object, the chunks resident in the peers'
+// caches and the cheapest peer latency for each.
+func peerResidency(peers []PeerInfo, key string) map[int]PeerInfo {
 	if len(peers) == 0 {
 		return nil
 	}

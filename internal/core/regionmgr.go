@@ -97,13 +97,21 @@ func (rm *RegionManager) Estimates() map[geo.RegionID]time.Duration {
 // Plan computes the nearest-first fetch plan for the object's chunks using
 // the current latency estimates.
 func (rm *RegionManager) Plan(key string) geo.FetchPlan {
+	return rm.planner()(key)
+}
+
+// planner snapshots the current latency estimates once and returns Plan
+// over that snapshot, for callers that plan many keys in one go.
+func (rm *RegionManager) planner() func(key string) geo.FetchPlan {
 	rm.mu.Lock()
 	m := geo.NewLatencyMatrix(rm.matrixSizeLocked())
 	for r, d := range rm.est {
 		m.Set(rm.client, r, d)
 	}
 	rm.mu.Unlock()
-	return geo.PlanFetch(m, rm.placement, key, rm.total, rm.client)
+	return func(key string) geo.FetchPlan {
+		return geo.PlanFetch(m, rm.placement, key, rm.total, rm.client)
+	}
 }
 
 func (rm *RegionManager) matrixSizeLocked() int {

@@ -199,7 +199,13 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		ChunkBytes:     cfg.ChunkBytes,
 		ReconfigPeriod: cfg.ReconfigPeriod,
 		CacheLatency:   20 * time.Millisecond,
+		// The optimum of the knapsack POPULATE approximates costs
+		// milliseconds at any cache size deployed here, so a live node
+		// re-adapts well inside its period; POPULATE stays the simulated
+		// plane's solver, where it reproduces the paper's figures.
+		Solver: core.SolverExact,
 	})
+	c.bindReconfigMetrics()
 	c.node.RegionManager().WarmUp(func(r geo.RegionID) time.Duration {
 		return cfg.Matrix.Get(cfg.ClientRegion, r)
 	}, 1)

@@ -8,6 +8,7 @@ import (
 	"github.com/agardist/agar/internal/cache"
 	"github.com/agardist/agar/internal/coherence"
 	"github.com/agardist/agar/internal/coop"
+	"github.com/agardist/agar/internal/core"
 	"github.com/agardist/agar/internal/metrics"
 	"github.com/agardist/agar/internal/trace"
 	"github.com/agardist/agar/internal/wire"
@@ -289,4 +290,26 @@ func newStoreServerMetrics(reg *metrics.Registry, region string, st *backend.Sto
 		m.stats = append(m.stats, statSource{g.key, always(g.read)})
 	}
 	return m
+}
+
+// bindReconfigMetrics exports the node's reconfigurations into the cluster
+// registry: every run lands in the duration histogram as it completes, and
+// the gauges read the latest run at gather time.
+func (c *Cluster) bindReconfigMetrics() {
+	manager := c.node.Manager()
+	seconds := c.reg.NewHistogramVec(metrics.NameReconfigSeconds,
+		"Duration of one cache reconfiguration in seconds: period close, option generation, solve, publish.",
+		nil, "solver")
+	manager.OnReconfigure(func(run core.ReconfigRun) {
+		seconds.With(run.Solver.String()).ObserveDuration(run.Duration)
+	})
+	c.reg.NewGaugeFunc(metrics.NameReconfigValue,
+		"Knapsack value (popularity-weighted milliseconds saved) of the configuration in force.",
+		func() float64 { return manager.LastRun().Value })
+	c.reg.NewGaugeFunc(metrics.NameReconfigConfiguredChunks,
+		"Chunk slots the configuration in force assigns.",
+		func() float64 { return float64(manager.LastRun().Weight) })
+	c.reg.NewGaugeFunc(metrics.NameReconfigMovedKeys,
+		"Objects whose configured chunks changed in the latest reconfiguration.",
+		func() float64 { return float64(manager.LastRun().MovedKeys) })
 }

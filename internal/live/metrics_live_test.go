@@ -124,6 +124,39 @@ func TestMetricsScrapeMatchesWireStats(t *testing.T) {
 	}
 }
 
+// TestReconfigMetrics: each reconfiguration lands in the duration histogram
+// under its solver, and the gauges describe the latest run.
+func TestReconfigMetrics(t *testing.T) {
+	cluster := startReconfigCluster(t, 40, 36)
+	node := cluster.Node()
+	node.ForceReconfigure()
+	node.HandleRead("object-0039")
+	cfg := node.ForceReconfigure()
+	run := node.Manager().LastRun()
+
+	fams := cluster.Registry().Gather()
+	hist, ok := metrics.SelectFamily(fams, metrics.NameReconfigSeconds)
+	if !ok {
+		t.Fatalf("registry lacks %s", metrics.NameReconfigSeconds)
+	}
+	if s, ok := metrics.SelectSample(hist, map[string]string{"solver": "exact"}); !ok || s.Count != 2 || s.Sum <= 0 {
+		t.Fatalf("%s{solver=exact} = %+v (ok=%v), want 2 observations", metrics.NameReconfigSeconds, s, ok)
+	}
+	for name, want := range map[string]float64{
+		metrics.NameReconfigValue:            cfg.Value,
+		metrics.NameReconfigConfiguredChunks: float64(cfg.Weight),
+		metrics.NameReconfigMovedKeys:        float64(run.MovedKeys),
+	} {
+		fam, ok := metrics.SelectFamily(fams, name)
+		if !ok || len(fam.Samples) != 1 || fam.Samples[0].Value != want {
+			t.Errorf("%s = %+v (ok=%v), want %v", name, fam.Samples, ok, want)
+		}
+	}
+	if cfg.Weight == 0 || cfg.Value == 0 {
+		t.Fatalf("empty configuration %v", cfg)
+	}
+}
+
 // benchServerGet measures serial single-chunk gets over the wire, with the
 // server either fully instrumented (default construction) or built with a
 // nil serverMetrics — the baseline with no time.Now() calls on the op path.

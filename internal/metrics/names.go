@@ -51,6 +51,14 @@ const (
 	NamePopulationQueueDepth = "agar_client_population_queue_depth"
 	NamePopulationDropped    = "agar_client_population_dropped_total"
 
+	// Cache reconfiguration (core.CacheManager.LastRun), bound by the live
+	// cluster: one histogram observation per run labelled {solver}, and
+	// gauges describing the configuration the latest run put in force.
+	NameReconfigSeconds          = "agar_reconfig_seconds"
+	NameReconfigValue            = "agar_reconfig_value"
+	NameReconfigConfiguredChunks = "agar_reconfig_configured_chunks"
+	NameReconfigMovedKeys        = "agar_reconfig_moved_keys"
+
 	// Versioned write path and cross-region coherence — cache-server
 	// families labelled {server, region}, client families labelled
 	// {region}. Version lag is the wall-clock age of the newest write

@@ -4,12 +4,13 @@ import "strings"
 
 // SCENARIOS.md is owned by several writers: agar-suite rewrites the whole
 // file on every full run, agar-bench -load contributes one marker-fenced
-// section with the latest saturation sweep, and agar-suite -soak another
-// with the latest long-soak timeline. The markers let each writer replace
-// its own block without clobbering the others': side writers splice
-// between their markers (SpliceMarked), and the full-suite rewrite carries
-// every existing marked block forward verbatim when it regenerates the
-// rest of the file (ExtractMarked).
+// section with the latest saturation sweep, agar-suite -soak another with
+// the latest long-soak timeline, and a third holds the POPULATE-vs-optimum
+// value gap published from core.BenchmarkSolve. The markers let each
+// writer replace its own block without clobbering the others': side
+// writers splice between their markers (SpliceMarked), and the full-suite
+// rewrite carries every existing marked block forward verbatim when it
+// regenerates the rest of the file (ExtractMarked).
 const (
 	// LoadSectionBegin and LoadSectionEnd fence the open-loop saturation
 	// sweep section that cmd/agar-bench -load maintains in SCENARIOS.md.
@@ -20,6 +21,12 @@ const (
 	// agar-suite -soak maintains in SCENARIOS.md.
 	SoakSectionBegin = "<!-- agar-suite:soak:begin -->"
 	SoakSectionEnd   = "<!-- agar-suite:soak:end -->"
+
+	// SolverGapSectionBegin and SolverGapSectionEnd fence the published
+	// POPULATE-vs-optimum value gap, taken from core.BenchmarkSolve's
+	// value/optimum metric on the repository benchmark's four shapes.
+	SolverGapSectionBegin = "<!-- core:solver-gap:begin -->"
+	SolverGapSectionEnd   = "<!-- core:solver-gap:end -->"
 )
 
 // ExtractMarked returns the block of doc fenced by the begin and end
