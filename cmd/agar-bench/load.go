@@ -29,8 +29,6 @@ type loadParams struct {
 	mix         string
 	seed        int64
 	skew        float64
-	dispatch    string
-	splitMin    int
 	out         string
 	scenariosMD string
 }
@@ -95,25 +93,19 @@ func runLoad(p loadParams) {
 			fatalf("-mix kind %q not supported (get, mget)", w.Kind)
 		}
 	}
-	mode, err := live.ParseDispatch(p.dispatch)
-	if err != nil {
-		fatalf("%v", err)
-	}
 	if p.conns < 1 || p.objects < 1 || p.chunks < 1 || p.chunkBytes < 1 {
 		fatalf("-conns, -objects, -chunks and -chunk-bytes must be positive")
 	}
 
 	// The cluster runs with zero injected WAN delay and a reconfiguration
 	// period beyond any sweep: the target under test is the cache server's
-	// wire/dispatch path, not the simulated geography around it.
+	// wire path, not the simulated geography around it.
 	cl, err := live.StartCluster(live.ClusterConfig{
 		ClientRegion:   geo.Frankfurt,
 		CacheBytes:     2 * int64(p.objects) * int64(p.chunks) * int64(p.chunkBytes),
 		ChunkBytes:     int64(p.chunkBytes),
 		ReconfigPeriod: time.Hour,
 		DelayScale:     0,
-		Dispatch:       mode,
-		SplitMinBytes:  p.splitMin,
 	})
 	if err != nil {
 		fatalf("start cluster: %v", err)
@@ -121,7 +113,7 @@ func runLoad(p loadParams) {
 	defer cl.Close()
 	// The node's cache admits only knapsack-configured chunks, which would
 	// gate residency on popularity history. The sweep measures the
-	// wire/dispatch path against a fully resident working set, so admission
+	// wire path against a fully resident working set, so admission
 	// opens before prepopulation.
 	cl.Node().Cache().SetAdmission(func(cache.EntryID) bool { return true })
 
@@ -132,8 +124,8 @@ func runLoad(p loadParams) {
 	if err := prepopulate(cl.CacheAddr(), p.objects, p.chunks, p.chunkBytes); err != nil {
 		fatalf("prepopulate: %v", err)
 	}
-	fmt.Printf("load: cluster up at %s (dispatch=%s split-min=%d), %d objects x %d chunks x %dB resident\n",
-		cl.CacheAddr(), mode, p.splitMin, p.objects, p.chunks, p.chunkBytes)
+	fmt.Printf("load: cluster up at %s, %d objects x %d chunks x %dB resident\n",
+		cl.CacheAddr(), p.objects, p.chunks, p.chunkBytes)
 
 	base := loadgen.Config{
 		Duration: p.duration,
@@ -175,18 +167,16 @@ func runLoad(p loadParams) {
 		Schema:      loadgen.Schema,
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Setup: map[string]any{
-			"conns":           p.conns,
-			"window":          p.window,
-			"objects":         p.objects,
-			"chunks":          p.chunks,
-			"chunk_bytes":     p.chunkBytes,
-			"mix":             p.mix,
-			"seed":            p.seed,
-			"skew":            p.skew,
-			"dispatch":        mode.String(),
-			"split_min_bytes": p.splitMin,
-			"duration_s":      p.duration.Seconds(),
-			"warmup_s":        p.warmup.Seconds(),
+			"conns":       p.conns,
+			"window":      p.window,
+			"objects":     p.objects,
+			"chunks":      p.chunks,
+			"chunk_bytes": p.chunkBytes,
+			"mix":         p.mix,
+			"seed":        p.seed,
+			"skew":        p.skew,
+			"duration_s":  p.duration.Seconds(),
+			"warmup_s":    p.warmup.Seconds(),
 		},
 		Points: points,
 	}
@@ -253,9 +243,9 @@ func spliceScenarios(path string, rep *loadgen.Report) error {
 // setupLine renders the report's setup echo compactly for the markdown
 // header.
 func setupLine(setup map[string]any) string {
-	return fmt.Sprintf("%v conns × window %v, %v objects × %v chunks × %vB, mix %v, dispatch %v, split-min %v",
+	return fmt.Sprintf("%v conns × window %v, %v objects × %v chunks × %vB, mix %v",
 		setup["conns"], setup["window"], setup["objects"], setup["chunks"],
-		setup["chunk_bytes"], setup["mix"], setup["dispatch"], setup["split_min_bytes"])
+		setup["chunk_bytes"], setup["mix"])
 }
 
 // runLoadCheck decodes a BENCH_load.json and machine-checks it against the

@@ -11,7 +11,7 @@
 //	agar-bench -exp fig6 -region sydney -runs 5 -ops 1000
 //	agar-bench -exp fig8a -seed 7
 //	agar-bench -load -rates 1000,2000,4000,8000,16000 -duration 3s
-//	agar-bench -load -scenarios-md SCENARIOS.md -split-min-bytes 4096
+//	agar-bench -load -scenarios-md SCENARIOS.md
 //	agar-bench -loadcheck BENCH_load.json
 //
 // Experiments: table1, fig2, fig6, fig7, fig8a, fig8b, fig9, fig10, all.
@@ -48,12 +48,10 @@ func main() {
 		duration   = flag.Duration("duration", 3*time.Second, "measured window per -load point")
 		loadWarmup = flag.Duration("load-warmup", 500*time.Millisecond, "warm-up per -load point (latencies discarded)")
 		conns      = flag.Int("conns", 4, "pipelined connections driving each -load point")
-		window     = flag.Int("window", 64, "in-flight frames per pipelined connection (0 = server default)")
+		window     = flag.Int("window", 64, "in-flight frames per pipelined connection (0 = default 64)")
 		chunks     = flag.Int("chunks", 8, "chunks per object in the -load working set")
 		chunkBytes = flag.Int("chunk-bytes", 4096, "bytes per chunk in the -load working set")
 		mix        = flag.String("mix", "get=70,mget=30", "op mix for -load, kind=weight pairs")
-		dispatch   = flag.String("dispatch", "shard", "cache server dispatch mode for -load: shard|conn")
-		splitMin   = flag.Int("split-min-bytes", 0, "cache server batch-split threshold for -load (0 = always split)")
 		loadOut    = flag.String("load-out", "BENCH_load.json", "where -load writes its JSON report")
 		scenMD     = flag.String("scenarios-md", "", "SCENARIOS.md to splice the -load section into (off when empty)")
 	)
@@ -72,8 +70,7 @@ func main() {
 			rates: *rates, duration: *duration, warmup: *loadWarmup,
 			conns: *conns, window: *window, objects: *objects,
 			chunks: *chunks, chunkBytes: *chunkBytes, mix: *mix,
-			seed: *seed, skew: *skew, dispatch: *dispatch,
-			splitMin: *splitMin, out: *loadOut, scenariosMD: *scenMD,
+			seed: *seed, skew: *skew, out: *loadOut, scenariosMD: *scenMD,
 		})
 		return
 	}

@@ -4,7 +4,8 @@
 //
 // The node probes each region's chunk-read latency at start-up from the
 // calibrated latency model (in a real deployment the probes would hit the
-// actual store servers) and reconfigures its cache every period. With
+// actual store servers) and reconfigures its cache every period, solving
+// the cache-configuration knapsack exactly (core.SolverExact). With
 // -peers, the node joins the cooperative cache mesh (§VI): it mirrors the
 // residency digests peer cache servers push to its cache port, values
 // peer-covered chunks in its knapsack, and advertises its own residency
@@ -43,7 +44,6 @@ func main() {
 		k         = flag.Int("k", 9, "data chunks per object")
 		m         = flag.Int("m", 3, "parity chunks per object")
 		objBytes  = flag.Int64("object-bytes", 1<<20, "object size for slot accounting")
-		solver    = flag.String("solver", "exact", "configuration solver: exact (the optimum, milliseconds) | populate (the paper's heuristic) | greedy")
 		peers     = flag.String("peers", "", "cooperative peer cache servers: region=host:port@latency[,...]")
 		digest    = flag.Duration("digest-period", time.Second, "how often residency digests push to peers")
 	)
@@ -57,18 +57,6 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	var sv core.Solver
-	switch *solver {
-	case "populate":
-		sv = core.SolverPopulate
-	case "exact":
-		sv = core.SolverExact
-	case "greedy":
-		sv = core.SolverGreedy
-	default:
-		fatalf("unknown solver %q", *solver)
-	}
-
 	chunkBytes := (*objBytes + int64(*k) - 1) / int64(*k)
 	slots := int64(*cacheMB * float64(int64(1)<<20) / float64(chunkBytes))
 	node := core.NewNode(core.NodeParams{
@@ -81,7 +69,7 @@ func main() {
 		ChunkBytes:     chunkBytes,
 		ReconfigPeriod: *period,
 		CacheLatency:   20 * time.Millisecond,
-		Solver:         sv,
+		Solver:         core.SolverExact,
 	})
 	matrix := geo.DefaultMatrix()
 	node.RegionManager().WarmUp(func(to geo.RegionID) time.Duration {
@@ -121,7 +109,7 @@ func main() {
 	}
 	node.Start()
 
-	fmt.Printf("agar-node: region=%s slots=%d period=%v solver=%s\n", r, slots, *period, sv)
+	fmt.Printf("agar-node: region=%s slots=%d period=%v\n", r, slots, *period)
 	fmt.Printf("agar-node: hints on %s (tcp)", hintSrv.Addr())
 	if udpSrv != nil {
 		fmt.Printf(" and %s (udp)", udpSrv.Addr())

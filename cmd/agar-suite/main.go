@@ -64,7 +64,7 @@ func run() int {
 		coh      = flag.String("coherence", "", "override mutating scenarios' coherence mode: versioned|none|paired")
 		objects  = flag.Int("objects", 0, "override the working-set size (0 = scenario default)")
 		live     = flag.Bool("live", false, "additionally smoke each scenario's first phase on the localhost cluster")
-		liveOps  = flag.Int("liveops", 120, "measured reads per live phase (smoke) and per dispatch round")
+		liveOps  = flag.Int("liveops", 120, "measured reads per live phase")
 		trace    = flag.Int("trace", 3, "slowest read traces dumped per live phase (0 disables)")
 		quiet    = flag.Bool("q", false, "suppress per-scenario markdown on stdout")
 
@@ -241,22 +241,6 @@ func run() int {
 			if lr.Errors > 0 {
 				failed++
 			}
-
-			// Scenarios that declare a dispatch-mode pair additionally
-			// replay every phase live once per mode, pairing throughput.
-			if len(runSpec.DispatchModes) > 0 {
-				dr, err := scenario.RunLiveDispatch(runSpec, scenario.LiveOptions{Seed: *seed, Ops: *liveOps})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "agar-suite: scenario %s live dispatch: %v\n", spec.Name, err)
-					failed++
-					continue
-				}
-				suite.LiveDispatch = append(suite.LiveDispatch, dr)
-				md.WriteString("\n" + dr.Markdown())
-				if !*quiet {
-					fmt.Println(dr.Markdown())
-				}
-			}
 		}
 	}
 
@@ -402,10 +386,9 @@ func checkSoak(path string) int {
 
 // suiteReport is the top-level BENCH_scenario.json document.
 type suiteReport struct {
-	Schema       string                         `json:"schema"`
-	Generated    string                         `json:"generated"`
-	Seed         int64                          `json:"seed"`
-	Scenarios    []*scenario.Report             `json:"scenarios"`
-	LiveSmokes   []*scenario.LiveResult         `json:"live_smokes,omitempty"`
-	LiveDispatch []*scenario.LiveDispatchReport `json:"live_dispatch,omitempty"`
+	Schema     string                 `json:"schema"`
+	Generated  string                 `json:"generated"`
+	Seed       int64                  `json:"seed"`
+	Scenarios  []*scenario.Report     `json:"scenarios"`
+	LiveSmokes []*scenario.LiveResult `json:"live_smokes,omitempty"`
 }

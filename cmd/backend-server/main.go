@@ -9,7 +9,6 @@
 //	backend-server -region frankfurt -addr 127.0.0.1:7001
 //	backend-server -region frankfurt -store disk -dir /var/lib/agar/frankfurt
 //	backend-server -region frankfurt -store remote -blob-addr 127.0.0.1:7201
-//	backend-server -region frankfurt -dispatch conn   # per-connection baseline
 package main
 
 import (
@@ -37,16 +36,11 @@ func main() {
 		kind     = flag.String("store", "mem", "chunk persistence: mem|disk|remote")
 		dir      = flag.String("dir", "", "disk store root directory (required with -store disk)")
 		blobAddr = flag.String("blob-addr", "", "blob gateway address (required with -store remote)")
-		dispatch = flag.String("dispatch", "shard", "request dispatch: shard (striped worker pools) | conn (per-connection loops)")
 		metricsA = flag.String("metrics-addr", "", "serve Prometheus-format /metrics on this address (off when empty)")
 	)
 	flag.Parse()
 
 	r, err := geo.ParseRegion(*region)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	mode, err := live.ParseDispatch(*dispatch)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -59,12 +53,12 @@ func main() {
 	st := backend.NewStoreOn(r, blob)
 	rec := trace.NewRecorder()
 	srv, err := live.NewStoreServerOpts(*addr, st, live.ServerOptions{
-		Dispatch: mode, Registry: reg, Region: r.String(), Recorder: rec,
+		Registry: reg, Region: r.String(), Recorder: rec,
 	})
 	if err != nil {
 		fatalf("%v", err)
 	}
-	fmt.Printf("backend-server: region=%s store=%s dispatch=%s listening on %s\n", r, *kind, mode, srv.Addr())
+	fmt.Printf("backend-server: region=%s store=%s listening on %s\n", r, *kind, srv.Addr())
 	metricsSrv := serveMetrics(*metricsA, reg, rec)
 
 	sig := make(chan os.Signal, 1)

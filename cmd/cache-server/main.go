@@ -6,15 +6,12 @@
 // servers and mirrors the digests it receives, reporting peer_hits,
 // peer_misses and digest_age_ms through its stats op.
 //
-// Requests dispatch shard-aware by default: connection goroutines decode
-// frames and enqueue ops onto per-shard worker pools (batched frames split
-// per shard and re-merge in order), with -dispatch conn selecting the
-// per-connection serialized baseline for paired benchmarks.
+// Each connection's goroutine decodes, executes and answers its own frames
+// in order; concurrency comes from many connections over the sharded store.
 //
 // Usage:
 //
 //	cache-server -addr 127.0.0.1:7101 -capacity 10485760 -policy lru -shards 8
-//	cache-server -addr 127.0.0.1:7101 -dispatch conn   # per-connection baseline
 //	cache-server -addr 10.0.0.5:7101 -region frankfurt \
 //	             -peers dublin=10.0.0.7:7101@25ms -digest-period 1s
 package main
@@ -43,12 +40,10 @@ func main() {
 		capacity = flag.Int64("capacity", 10<<20, "cache capacity in bytes")
 		policy   = flag.String("policy", "lru", "eviction policy: lru|lfu|pinned")
 		shards   = flag.Int("shards", 8, "cache shards (rounded up to a power of two; 1 = single global lock)")
-		dispatch = flag.String("dispatch", "shard", "request dispatch: shard (per-shard worker pools) | conn (per-connection loops)")
 		region   = flag.String("region", "", "this cache's region name (required with -peers)")
 		peers    = flag.String("peers", "", "cooperative peers: region=host:port@latency[,...]")
 		digest   = flag.Duration("digest-period", time.Second, "how often residency digests push to peers")
 		metricsA = flag.String("metrics-addr", "", "serve Prometheus-format /metrics on this address (off when empty)")
-		splitMin = flag.Int("split-min-bytes", 0, "shard dispatch: multi-shard batches below this many body bytes route whole instead of splitting (0 = always split)")
 	)
 	flag.Parse()
 
@@ -74,24 +69,18 @@ func main() {
 		fatalf("-peers needs -region so digests carry this cache's identity")
 	}
 
-	mode, err := live.ParseDispatch(*dispatch)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
 	store := cache.NewSharded(*capacity, *shards, factory)
 	table := coop.NewTable()
 	reg := metrics.NewRegistry()
 	rec := trace.NewRecorder()
 	srv, err := live.NewCacheServerOpts(*addr, store, table, live.ServerOptions{
-		Dispatch: mode, Registry: reg, Region: *region, SplitMinBytes: *splitMin,
-		Recorder: rec,
+		Registry: reg, Region: *region, Recorder: rec,
 	})
 	if err != nil {
 		fatalf("%v", err)
 	}
-	fmt.Printf("cache-server: policy=%s capacity=%d shards=%d dispatch=%s listening on %s\n",
-		*policy, *capacity, store.ShardCount(), mode, srv.Addr())
+	fmt.Printf("cache-server: policy=%s capacity=%d shards=%d listening on %s\n",
+		*policy, *capacity, store.ShardCount(), srv.Addr())
 	metricsSrv := serveMetrics(*metricsA, reg, rec)
 
 	var adv *coop.Advertiser

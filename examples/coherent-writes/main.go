@@ -1,96 +1,102 @@
-// Coherent writes: the paper's §VI future-work sketch, implemented. Writes
-// to an erasure-coded object are followed by a cache invalidation that is
-// totally ordered through a Paxos-replicated log, so every region's cache
-// drops stale chunks in the same order and read-after-write holds across
-// the deployment — even with concurrent writers and a failed acceptor.
+// Coherent writes on the deployed design: a localhost live cluster serves
+// an object from its cache, then a versioned NetworkWriter overwrites it.
+// Every write stamps one hybrid-logical-clock version, writes each chunk
+// through to its region's store under that version and raises the cache
+// server's version floor, which drops the pre-write chunks. A reader whose
+// Session saw the write never decodes anything older (read-your-writes),
+// and a write stamped older than the key's current version is refused
+// everywhere (per-key last-writer-wins).
 package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"log"
 	"time"
 
 	"github.com/agardist/agar/internal/backend"
-	"github.com/agardist/agar/internal/cache"
-	"github.com/agardist/agar/internal/client"
-	"github.com/agardist/agar/internal/coherence"
-	"github.com/agardist/agar/internal/erasure"
 	"github.com/agardist/agar/internal/geo"
+	"github.com/agardist/agar/internal/live"
 )
 
 func main() {
-	codec, err := erasure.New(9, 3)
+	cluster, err := live.StartCluster(live.ClusterConfig{
+		ClientRegion: geo.Frankfurt,
+		CacheBytes:   60 * 2048,
+		ChunkBytes:   2048,
+		DelayScale:   0.01, // 980 ms Tokyo round trips become 9.8 ms
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	placement := geo.NewRoundRobin(geo.DefaultRegions(), false)
-	cluster := backend.NewCluster(geo.DefaultRegions(), codec, placement)
+	defer cluster.Close()
 
 	objSize := 9 * 1024
 	v1 := bytes.Repeat([]byte{'A'}, objSize)
-	if err := cluster.PutObject("doc", v1); err != nil {
+	if err := cluster.Backend().PutObject("doc", v1); err != nil {
 		log.Fatal(err)
 	}
 
-	env := &client.Env{
-		Cluster:       cluster,
-		Matrix:        geo.DefaultMatrix(),
-		CacheLatency:  20 * time.Millisecond,
-		DecodeLatency: 5 * time.Millisecond,
-	}
-
-	// Caching readers in two regions, both warm.
-	frankfurt := client.NewFixedReader(env, geo.Frankfurt, cache.NewLRU(), 5, 1<<20)
-	sydney := client.NewFixedReader(env, geo.Sydney, cache.NewLRU(), 5, 1<<20)
-	for i := 0; i < 2; i++ {
-		frankfurt.Read("doc")
-		sydney.Read("doc")
-	}
-	fmt.Printf("caches warm: frankfurt holds %v, sydney holds %v\n",
-		frankfurt.Cache().IndicesOf("doc"), sydney.Cache().IndicesOf("doc"))
-
-	// One Paxos acceptor per region conceptually; three suffice here.
-	coord := coherence.NewCoordinator(3)
-	applier := coord.NewApplier(frankfurt.Cache(), sydney.Cache())
-	writer := coord.NewWriter(0)
-
-	// A coherent write: update the backend, then commit the invalidation.
-	v2 := bytes.Repeat([]byte{'B'}, objSize)
-	if err := cluster.PutObject("doc", v2); err != nil {
-		log.Fatal(err)
-	}
-	slot, err := writer.Invalidate("doc")
+	reader, err := live.NewNetworkReader(cluster, geo.Frankfurt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("invalidation committed at log slot %d\n", slot)
-	if _, err := applier.Poll(); err != nil {
-		log.Fatal(err)
-	}
+	defer reader.Close()
 
-	for name, r := range map[string]*client.FixedReader{"frankfurt": frankfurt, "sydney": sydney} {
-		got, _, err := r.Read("doc")
-		if err != nil {
+	// Warm the cache: teach the monitor the key is hot, reconfigure, and
+	// read once more so the hinted chunks populate the cache server.
+	for i := 0; i < 30; i++ {
+		if _, _, err := reader.ReadDetailed("doc"); err != nil {
 			log.Fatal(err)
 		}
-		if !bytes.Equal(got, v2) {
-			log.Fatalf("%s read stale data", name)
-		}
-		fmt.Printf("%s reads the new version: %q...\n", name, got[:1])
 	}
-
-	// The log tolerates a minority acceptor failure.
-	coord.Acceptor(2).SetDown(true)
-	if _, err := writer.Invalidate("doc"); err != nil {
+	cluster.Node().ForceReconfigure()
+	if _, _, err := reader.ReadDetailed("doc"); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("invalidation still commits with one of three acceptors down")
+	reader.FlushPopulation()
+	fmt.Printf("cache warm: frankfurt holds chunks %v of \"doc\"\n", cluster.Node().Cache().IndicesOf("doc"))
 
-	// And blocks (fails fast here) without a quorum — consistency over
-	// availability.
-	coord.Acceptor(1).SetDown(true)
-	if _, err := writer.Invalidate("doc"); err != nil {
-		fmt.Printf("without a quorum the write is refused: %v\n", err)
+	// A coherent write from Sydney, recorded in the client's session.
+	writer := live.NewNetworkWriter(cluster, geo.Sydney)
+	defer writer.Close()
+	sess := live.NewSession()
+	v2 := bytes.Repeat([]byte{'B'}, objSize)
+	ver, err := writer.WriteSession("doc", v2, sess)
+	if err != nil {
+		log.Fatal(err)
 	}
+	fmt.Printf("write committed at version %d; cache now holds %v\n", ver, cluster.Node().Cache().IndicesOf("doc"))
+
+	got, info, err := reader.ReadSession("doc", sess)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !bytes.Equal(got, v2) {
+		log.Fatal("session read returned stale data")
+	}
+	fmt.Printf("session read sees the write: %q... at version %d (%d cache chunks, %d stale chunks dropped)\n",
+		got[:1], info.Version, info.CacheChunks, info.StaleDrops)
+
+	// A writer whose clock lags by a minute stamps an older version: every
+	// store refuses it, so it can never overwrite the newer generation.
+	laggard := live.NewNetworkWriter(cluster, geo.Tokyo)
+	defer laggard.Close()
+	laggard.SetClock(func() time.Time { return time.Now().Add(-time.Minute) })
+	_, err = laggard.Write("doc", bytes.Repeat([]byte{'C'}, objSize))
+	var stale *backend.StaleError
+	if !errors.As(err, &stale) {
+		log.Fatalf("older write was not refused: %v", err)
+	}
+	fmt.Printf("older write refused: %v\n", err)
+
+	got, _, err = reader.ReadSession("doc", sess)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !bytes.Equal(got, v2) {
+		log.Fatal("refused write leaked into a read")
+	}
+	fmt.Printf("reads still return %q...: last writer wins per key\n", got[:1])
 }

@@ -174,13 +174,10 @@ func NewSharded(capacity int64, shards int, newPolicy func() Policy) *Cache {
 	return c
 }
 
-// StripeIndex returns the shard an id stripes to in a power-of-two stripe
+// stripeIndex returns the shard an id stripes to in a power-of-two stripe
 // space of the given size: FNV-1a over the key bytes and chunk index, masked
-// to shards-1. It is the single routing function shared by the cache's
-// internal sharding and the live server's shard-aware dispatch, so a
-// dispatched op always lands on the worker that owns the op's shard lock.
-// shards must be a power of two; shards <= 1 always returns 0.
-func StripeIndex(id EntryID, shards int) int {
+// to shards-1. shards must be a power of two; shards <= 1 always returns 0.
+func stripeIndex(id EntryID, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
@@ -199,14 +196,14 @@ func StripeIndex(id EntryID, shards int) int {
 }
 
 // ShardIndex returns the index of the shard the id lives on in this cache —
-// StripeIndex over the cache's own shard count.
+// stripeIndex over the cache's own shard count.
 func (c *Cache) ShardIndex(id EntryID) int {
-	return StripeIndex(id, len(c.shards))
+	return stripeIndex(id, len(c.shards))
 }
 
 // shardFor routes an id to its shard.
 func (c *Cache) shardFor(id EntryID) *shard {
-	return c.shards[StripeIndex(id, len(c.shards))]
+	return c.shards[stripeIndex(id, len(c.shards))]
 }
 
 // SetAdmission installs an admission filter: inserts for ids the filter

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"sort"
 	"time"
 
 	"github.com/agardist/agar/internal/cache"
@@ -84,9 +85,22 @@ func (r *AgarReader) Read(key string) ([]byte, Result, error) {
 		}
 		return a < b
 	})
+	if len(cached) > k {
+		// A hint names the configured chunks plus the resident ones, so more
+		// than k can come back from the cache: keep the k nearest.
+		rank := make(map[int]int, len(order))
+		for i, idx := range order {
+			rank[idx] = i
+		}
+		sort.Slice(cached, func(a, b int) bool { return rank[cached[a].index] < rank[cached[b].index] })
+		for _, o := range cached[k:] {
+			delete(have, o.index)
+		}
+		cached = cached[:k]
+	}
 	var want, fromPeers []int
 	for _, idx := range order {
-		if len(cached)+len(want)+len(fromPeers) == k {
+		if len(cached)+len(want)+len(fromPeers) >= k {
 			break
 		}
 		if have[idx] {
@@ -149,7 +163,7 @@ func (r *AgarReader) Read(key string) ([]byte, Result, error) {
 	}
 	res.Latency += monLat
 	res.CacheChunks = len(cached)
-	res.FullHit = len(cached) == k
+	res.FullHit = len(cached) >= k
 	res.PartialHit = (len(cached) > 0 && len(cached) < k) || (res.PeerChunks > 0 && len(cached) == 0)
 
 	data, decLat, err := decode(r.env, outcomes)

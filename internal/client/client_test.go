@@ -351,3 +351,42 @@ func TestChunkBytesConstantMatchesCodec(t *testing.T) {
 		t.Fatalf("testChunkBytes=%d but codec says %d", testChunkBytes, got)
 	}
 }
+
+// TestAgarReaderHintBeyondK: a hint names the configured chunks plus the
+// resident ones, so it can list more than k. The reader must still read
+// exactly k chunks, all from the cache, and count the read as a full hit.
+func TestAgarReaderHintBeyondK(t *testing.T) {
+	const key = "object-00000"
+	for _, resident := range []int{9, 10, 11, 12} {
+		t.Run(fmt.Sprintf("resident=%d", resident), func(t *testing.T) {
+			env, objects := testEnv(t, 1)
+			node := newAgarNode(env, geo.Frankfurt, 18)
+			node.Cache().SetAdmission(func(cache.EntryID) bool { return true })
+			chunks, err := env.Cluster.Codec().Split(objects[key])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for idx := 0; idx < resident; idx++ {
+				if err := node.Cache().Put(cache.EntryID{Key: key, Index: idx}, chunks[idx]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if hint := node.HandleRead(key); len(hint.CacheChunks) != resident {
+				t.Fatalf("hint names %d chunks, want %d", len(hint.CacheChunks), resident)
+			}
+			data, res, err := NewAgarReader(env, geo.Frankfurt, node).Read(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, objects[key]) {
+				t.Fatal("data mismatch")
+			}
+			if res.CacheChunks != 9 || res.BackendChunks != 0 || res.PeerChunks != 0 {
+				t.Fatalf("read %d cache + %d backend + %d peer chunks, want 9 + 0 + 0", res.CacheChunks, res.BackendChunks, res.PeerChunks)
+			}
+			if !res.FullHit || res.PartialHit {
+				t.Fatalf("full hit %v, partial hit %v; want a full hit", res.FullHit, res.PartialHit)
+			}
+		})
+	}
+}

@@ -76,7 +76,7 @@ func (r *FixedReader) Read(key string) ([]byte, Result, error) {
 	// Fetch the nearest chunks not already in hand until k total.
 	want := make([]int, 0, k)
 	for _, idx := range plan.Chunks {
-		if len(cached)+len(want) == k {
+		if len(cached)+len(want) >= k {
 			break
 		}
 		if have[idx] {
@@ -105,7 +105,7 @@ func (r *FixedReader) Read(key string) ([]byte, Result, error) {
 		}
 	}
 	res.CacheChunks = len(cached)
-	res.FullHit = len(cached) == k
+	res.FullHit = len(cached) >= k
 	res.PartialHit = len(cached) > 0 && len(cached) < k
 
 	data, decLat, err := decode(r.env, outcomes)

@@ -1,3 +1,11 @@
+// Package coherence holds the per-key version-floor table of the versioned
+// write path (VersionTable), which live cache and store servers enforce
+// versioned mutations against. Writes carry hybrid-logical-clock versions
+// and invalidations ride the cooperative digest mesh, so per-key
+// last-writer-wins needs no replicated log: no reader must agree on
+// cross-key order, only on which version of one key is newest.
+// docs/WRITES.md records the design; internal/live's write-coherence tests
+// check read-after-write across regions on real sockets.
 package coherence
 
 import (
@@ -36,7 +44,7 @@ func NewVersionTable() *VersionTable {
 	return t
 }
 
-// shardFor routes a key to its stripe (FNV-1a, like cache.StripeIndex).
+// shardFor routes a key to its stripe (FNV-1a, like the cache's lock stripes).
 func (t *VersionTable) shardFor(key string) *struct {
 	mu   sync.Mutex
 	vers map[string]hlc.Timestamp

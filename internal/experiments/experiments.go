@@ -324,7 +324,7 @@ func (d *Deployment) uniformGen() func(int64) workload.Generator {
 
 // Run executes the averaged measurement campaign for one strategy, client
 // region and cache size using the deployment's default workload skew. It
-// is the entry point the agar-load tool drives.
+// is the entry point the root package benchmarks drive.
 func (d *Deployment) Run(strat Strategy, region geo.RegionID, cacheMB float64) (ycsb.Result, error) {
 	return d.runAveraged(runSpec{
 		strategy: strat,

@@ -3,7 +3,6 @@ package live
 import (
 	"bytes"
 	"io"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -223,126 +222,58 @@ func TestPooledReplyParity(t *testing.T) {
 // zero outstanding buffers: every frame read and every reply written gave
 // its buffers back.
 func TestServerPoolNoLeak(t *testing.T) {
-	for _, mode := range []Dispatch{DispatchShard, DispatchConn} {
-		t.Run(string(mode), func(t *testing.T) {
-			c := cache.NewSharded(1<<24, 8, func() cache.Policy { return cache.NewLRU() })
-			srv, err := NewCacheServerOpts("127.0.0.1:0", c, nil, ServerOptions{Dispatch: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-
-			remote := NewRemoteCache(srv.Addr())
-			defer remote.Close()
-			p, err := DialPipelined(srv.Addr(), 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer p.Close()
-
-			chunks := map[int][]byte{}
-			for i := 0; i < 32; i++ {
-				chunks[i] = bytes.Repeat([]byte{byte(i)}, 512)
-			}
-			if err := remote.PutMulti("obj", chunks); err != nil {
-				t.Fatal(err)
-			}
-			indices := make([]int, 0, len(chunks))
-			for i := range chunks {
-				indices = append(indices, i)
-			}
-			for round := 0; round < 20; round++ {
-				if _, err := remote.Get(cache.EntryID{Key: "obj", Index: round % 32}); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := remote.Get(cache.EntryID{Key: "missing", Index: 0}); err != cache.ErrNotFound {
-					t.Fatalf("miss err = %v", err)
-				}
-				if _, err := remote.GetMulti("obj", indices); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := p.GetMulti("obj", indices[:4]); err != nil {
-					t.Fatal(err)
-				}
-				// An op the server rejects exercises the error-reply path.
-				if _, err := p.Go(wire.Message{Header: wire.Header{Op: "bogus"}}).Wait(); err == nil {
-					t.Fatal("bogus op succeeded")
-				}
-			}
-			remote.Close()
-			p.Close()
-
-			deadline := time.Now().Add(2 * time.Second)
-			for srv.PoolOutstanding() != 0 {
-				if time.Now().After(deadline) {
-					t.Fatalf("pool did not quiesce: %d buffers outstanding", srv.PoolOutstanding())
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-		})
+	c := cache.NewSharded(1<<24, 8, func() cache.Policy { return cache.NewLRU() })
+	srv, err := NewCacheServer("127.0.0.1:0", c)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	defer srv.Close()
 
-// TestSplitMinBytesRoutesSmallBatchesWhole drives a multi-shard mget
-// through the dispatcher directly: under the default zero threshold it
-// fans out (one handler call per shard part); with a huge threshold it
-// routes whole to one shard worker (exactly one handler call). The reply
-// bytes must be identical either way.
-func TestSplitMinBytesRoutesSmallBatchesWhole(t *testing.T) {
-	run := func(splitMin int) (int32, map[int][]byte) {
-		c := cache.NewSharded(1<<24, 8, func() cache.Policy { return cache.NewLRU() })
-		indices := make([]int, 32)
-		for i := range indices {
-			indices[i] = i
-			if err := c.Put(cache.EntryID{Key: "obj", Index: i}, bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		bp := wire.NewBufferPool()
-		var calls atomic.Int32
-		base := cacheHandler(c, nil, coherence.NewVersionTable(), nil, bp)
-		counting := func(m wire.Message) wire.Message { calls.Add(1); return base(m) }
-		d := newDispatcher(counting, &cacheRouter{c: c, splitMin: splitMin}, new(atomic.Int64), nil, nil)
-		defer d.stop()
+	remote := NewRemoteCache(srv.Addr())
+	defer remote.Close()
+	p, err := DialPipelined(srv.Addr(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
 
-		reply := make(chan wire.Message, 1)
-		d.dispatch(wire.Message{Header: wire.Header{Op: wire.OpMGet, Key: "obj", Indices: indices}}, reply)
-		resp := <-reply
-		// Flatten the (possibly vectored, pooled) reply the way the socket
-		// write would, then decode it back like a client.
-		frame, err := wire.Encode(resp)
-		if err != nil {
+	chunks := map[int][]byte{}
+	for i := 0; i < 32; i++ {
+		chunks[i] = bytes.Repeat([]byte{byte(i)}, 512)
+	}
+	if err := remote.PutMulti("obj", chunks); err != nil {
+		t.Fatal(err)
+	}
+	indices := make([]int, 0, len(chunks))
+	for i := range chunks {
+		indices = append(indices, i)
+	}
+	for round := 0; round < 20; round++ {
+		if _, err := remote.Get(cache.EntryID{Key: "obj", Index: round % 32}); err != nil {
 			t.Fatal(err)
 		}
-		resp.Release()
-		back, err := wire.Decode(frame[4:])
-		if err != nil {
+		if _, err := remote.Get(cache.EntryID{Key: "missing", Index: 0}); err != cache.ErrNotFound {
+			t.Fatalf("miss err = %v", err)
+		}
+		if _, err := remote.GetMulti("obj", indices); err != nil {
 			t.Fatal(err)
 		}
-		got, err := wire.UnpackBatch(back.Header.Indices, back.Header.Sizes, back.Body)
-		if err != nil {
+		if _, err := p.GetMulti("obj", indices[:4]); err != nil {
 			t.Fatal(err)
 		}
-		if n := bp.Outstanding(); n != 0 {
-			t.Fatalf("splitMin=%d leaked %d pooled buffers", splitMin, n)
+		// An op the server rejects exercises the error-reply path.
+		if _, err := p.Go(wire.Message{Header: wire.Header{Op: "bogus"}}).Wait(); err == nil {
+			t.Fatal("bogus op succeeded")
 		}
-		return calls.Load(), got
 	}
+	remote.Close()
+	p.Close()
 
-	splitCalls, splitGot := run(0)       // always split
-	wholeCalls, wholeGot := run(1 << 30) // never split
-	if wholeCalls != 1 {
-		t.Fatalf("thresholded dispatch executed mget as %d handler calls, want 1", wholeCalls)
-	}
-	if splitCalls < 2 {
-		t.Fatalf("always-split dispatch executed mget as %d handler calls, want several", splitCalls)
-	}
-	if len(splitGot) != 32 || len(wholeGot) != 32 {
-		t.Fatalf("result sizes: split %d, whole %d, want 32", len(splitGot), len(wholeGot))
-	}
-	for idx, want := range splitGot {
-		if !bytes.Equal(wholeGot[idx], want) {
-			t.Fatalf("chunk %d differs between split and whole routing", idx)
+	deadline := time.Now().Add(2 * time.Second)
+	for srv.PoolOutstanding() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("pool did not quiesce: %d buffers outstanding", srv.PoolOutstanding())
 		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

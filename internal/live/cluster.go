@@ -55,16 +55,6 @@ type ClusterConfig struct {
 	// gateway (cmd/blob-server), optionally chaos-wrapped. The cluster owns
 	// the opened adapter and closes it with Close.
 	Store store.Config
-	// Dispatch selects how the cache and store servers schedule decoded
-	// frames: per-shard worker pools (DispatchShard, the default) or the
-	// per-connection serialized loops kept as the paired baseline
-	// (DispatchConn).
-	Dispatch Dispatch
-	// SplitMinBytes is the cache server's size-aware batch-split threshold
-	// (ServerOptions.SplitMinBytes): multi-shard batches estimated below
-	// this many body bytes route whole to one shard worker instead of
-	// fanning out. Zero always splits.
-	SplitMinBytes int
 	// MetricsAddr, when non-empty, serves the cluster's shared metrics
 	// registry over HTTP at /metrics (Prometheus text format) — every
 	// server's families plus the client read path's, in one scrape.
@@ -181,7 +171,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 
 	for _, r := range cfg.Regions {
 		srv, err := NewStoreServerOpts("127.0.0.1:0", cluster.Store(r), ServerOptions{
-			Dispatch: cfg.Dispatch, Registry: c.reg, Region: r.String(), Recorder: c.rec,
+			Registry: c.reg, Region: r.String(), Recorder: c.rec,
 		})
 		if err != nil {
 			return fail(err)
@@ -216,8 +206,8 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	c.adv = coop.NewAdvertiser(cfg.ClientRegion.String(), c.node.Cache(), cfg.DigestPeriod)
 	if c.cacheSrv, err = NewCacheServerOpts("127.0.0.1:0", c.node.Cache(), c.table, ServerOptions{
-		Dispatch: cfg.Dispatch, Registry: c.reg, Region: cfg.ClientRegion.String(),
-		SplitMinBytes: cfg.SplitMinBytes, Recorder: c.rec, Versions: c.versions,
+		Registry: c.reg, Region: cfg.ClientRegion.String(),
+		Recorder: c.rec, Versions: c.versions,
 	}); err != nil {
 		return fail(err)
 	}
@@ -327,9 +317,9 @@ func (c *Cluster) StoreAddr(r geo.RegionID) string { return c.storeSrvs[r].Addr(
 // CacheAddr returns the client region's cache server address.
 func (c *Cluster) CacheAddr() string { return c.cacheSrv.Addr() }
 
-// CacheQueueDepth samples the cache server's shard-dispatch queue depth
-// (always 0 under conn dispatch) — the dispatch_queue_depth gauge, readable
-// in-process for benchmarks that poll it mid-run.
+// CacheQueueDepth samples the cache server's requests decoded and not yet
+// answered — the dispatch_queue_depth gauge, readable in-process for
+// benchmarks that poll it mid-run.
 func (c *Cluster) CacheQueueDepth() int64 { return c.cacheSrv.QueueDepth() }
 
 // HintAddr returns the TCP hint server address.
@@ -619,7 +609,7 @@ func (r *NetworkReader) Read(key string) ([]byte, time.Duration, int, error) {
 // its bytes plus the read's full accounting. Every read mints a trace
 // context that propagates on each wire exchange (hint, cache mget, peer
 // mgets, store fetches), so the returned trace nests real server-side
-// queue-wait and execute annotations under the client's spans and the
+// execute annotations under the client's spans and the
 // servers' flight recorders retain the read's ops under the same trace ID
 // (ReadTrace.TraceID).
 func (r *NetworkReader) ReadDetailed(key string) ([]byte, ReadInfo, error) {
@@ -725,9 +715,16 @@ func (r *NetworkReader) readDetailed(key string, floor uint64) ([]byte, ReadInfo
 		}
 		return cands[a].idx < cands[b].idx
 	})
-	want := append([]int(nil), hintChunks...)
+	// A hint names the configured chunks plus the resident ones, so it can
+	// list more than k: take at most the k nearest.
+	want := make([]int, 0, k)
 	for _, cn := range cands {
-		if len(want) == k {
+		if hinted[cn.idx] && len(want) < k {
+			want = append(want, cn.idx)
+		}
+	}
+	for _, cn := range cands {
+		if len(want) >= k {
 			break
 		}
 		idx := cn.idx
@@ -738,9 +735,6 @@ func (r *NetworkReader) readDetailed(key string, floor uint64) ([]byte, ReadInfo
 			continue
 		}
 		want = append(want, idx)
-	}
-	if len(want) > k {
-		want = want[:k]
 	}
 
 	type outcome struct {

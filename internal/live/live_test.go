@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -367,5 +368,97 @@ func TestNetworkReaderSteersAroundScheduledCut(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Fatalf("detour read returned wrong data")
 		}
+	}
+}
+
+// TestNetworkReaderKeepsNearestHintedChunks: a hint names the configured
+// chunks plus the resident ones, so with every chunk resident it lists all
+// k+m. The reader must fetch the k nearest of them, not the first k in hint
+// order: the resident copies of the others are corrupted, so reading any of
+// them decodes the wrong bytes.
+func TestNetworkReaderKeepsNearestHintedChunks(t *testing.T) {
+	cluster, err := StartCluster(ClusterConfig{
+		ClientRegion: geo.Frankfurt,
+		CacheBytes:   90 * 2048,
+		ChunkBytes:   2048,
+		DelayScale:   0,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	codec := cluster.Backend().Codec()
+	k, total := codec.K(), codec.Total()
+
+	// The k nearest chunks in the reader's order (latency, then index);
+	// pick a key where they differ from the hint's first k (ascending).
+	nearestOf := func(key string) map[int]bool {
+		plan := geo.PlanFetch(geo.DefaultMatrix(), cluster.Backend().Placement(), key, total, geo.Frankfurt)
+		order := make([]int, total)
+		lat := make(map[int]int64, total)
+		for i, idx := range plan.Chunks {
+			order[i] = idx
+			lat[idx] = plan.Latency[i]
+		}
+		sort.Slice(order, func(a, b int) bool {
+			if lat[order[a]] != lat[order[b]] {
+				return lat[order[a]] < lat[order[b]]
+			}
+			return order[a] < order[b]
+		})
+		near := make(map[int]bool, k)
+		for _, idx := range order[:k] {
+			near[idx] = true
+		}
+		return near
+	}
+	key, near := "", map[int]bool(nil)
+	for i := 0; i < 100 && key == ""; i++ {
+		cand := fmt.Sprintf("object-%d", i)
+		n := nearestOf(cand)
+		for idx := 0; idx < k; idx++ {
+			if !n[idx] {
+				key, near = cand, n
+				break
+			}
+		}
+	}
+	if key == "" {
+		t.Fatal("no key whose nearest chunks differ from the first k indices")
+	}
+
+	data := bytes.Repeat([]byte("agar"), 2_500)
+	if err := cluster.Backend().PutObject(key, data); err != nil {
+		t.Fatal(err)
+	}
+	chunks, err := codec.Split(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cluster.Node().Cache()
+	c.SetAdmission(func(cache.EntryID) bool { return true })
+	for idx, chunk := range chunks {
+		if !near[idx] {
+			chunk = bytes.Repeat([]byte{0xEE}, len(chunk))
+		}
+		if err := c.Put(cache.EntryID{Key: key, Index: idx}, chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	reader, err := NewNetworkReader(cluster, geo.Frankfurt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+	got, info, err := reader.ReadDetailed(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("read decoded a chunk outside the k nearest hinted ones")
+	}
+	if info.CacheChunks != k {
+		t.Fatalf("%d chunks from cache, want %d", info.CacheChunks, k)
 	}
 }

@@ -15,11 +15,9 @@ import (
 )
 
 // ServerOptions configures a cache or store server beyond its address.
-// The zero value is the default: shard dispatch, a private metrics
-// registry, no region label.
+// The zero value is the default: a private metrics registry, no region
+// label.
 type ServerOptions struct {
-	// Dispatch selects the scheduling mode; the zero value is DispatchShard.
-	Dispatch Dispatch
 	// Registry receives the server's metrics families. Nil creates a
 	// private registry: metrics are still collected (the wire stats op
 	// reads them) but no /metrics endpoint sees them unless the caller
@@ -29,17 +27,6 @@ type ServerOptions struct {
 	// region shares a cluster registry without colliding. Empty is fine
 	// for standalone deployments.
 	Region string
-	// SplitMinBytes is the size-aware batch-split threshold for shard
-	// dispatch: a multi-shard mget/mput whose body weighs less than this
-	// many bytes (mput by its declared sizes, mget by chunk count times
-	// the cache's mean entry size) routes whole to its first chunk's
-	// shard worker instead of fanning out — small batches lose more to
-	// queue hops and the merge than parallel shard work buys back. Zero
-	// (the default) always splits, the legacy behaviour, which also keeps
-	// strict per-connection ordering between a batch and single-chunk ops
-	// on its other shards; a positive threshold trades that ordering for
-	// throughput on small batches. Store servers never split regardless.
-	SplitMinBytes int
 	// Recorder, when non-nil, is the server's flight recorder: every
 	// finished op is offered to it (slowest and errored requests are
 	// retained per opcode, served at /debug/traces). Nil disables the
@@ -108,11 +95,12 @@ func (m *serverMetrics) observeVersionLag(ms int64) {
 	}
 }
 
-// observe records one op's queue wait and execution time; traceID (empty
-// for untraced requests) pins a bucket exemplar on the execute histogram,
-// so a high-latency bucket names a concrete trace to look up. Safe on a
-// nil receiver (uninstrumented baseline).
-func (m *serverMetrics) observe(op string, queue, exec time.Duration, traceID string) {
+// observe records one op's execution time, and a queue wait of 0 (ops run
+// as soon as they are decoded); traceID (empty for untraced requests) pins
+// a bucket exemplar on the execute histogram, so a high-latency bucket
+// names a concrete trace to look up. Safe on a nil receiver
+// (uninstrumented baseline).
+func (m *serverMetrics) observe(op string, exec time.Duration, traceID string) {
 	if m == nil {
 		return
 	}
@@ -124,7 +112,7 @@ func (m *serverMetrics) observe(op string, queue, exec time.Duration, traceID st
 	if !ok {
 		eh = m.exOther
 	}
-	qh.ObserveDuration(queue)
+	qh.ObserveDuration(0)
 	eh.ObserveDurationExemplar(exec, traceID)
 }
 
@@ -149,10 +137,10 @@ func always(fn func() int64) func() (int64, bool) {
 // a server's known opcodes plus the "other" fallback.
 func (m *serverMetrics) internOps(reg *metrics.Registry, server, region string, ops []string) {
 	qw := reg.NewHistogramVec(metrics.NameServerOpQueueWait,
-		"Time a decoded op waited on a shard-dispatch queue before executing (0 for inline fast-path ops).",
+		"Time a decoded op waited before executing; always 0, as every op runs on its connection's goroutine as soon as it is decoded.",
 		metrics.DefBuckets, "server", "region", "op")
 	ex := reg.NewHistogramVec(metrics.NameServerOpExecute,
-		"Handler execution time per op (split-batch parts observe per part).",
+		"Handler execution time per op.",
 		metrics.DefBuckets, "server", "region", "op")
 	m.queueWait = make(map[string]*metrics.Histogram, len(ops))
 	m.exec = make(map[string]*metrics.Histogram, len(ops))
@@ -166,9 +154,9 @@ func (m *serverMetrics) internOps(reg *metrics.Registry, server, region string, 
 
 // newCacheServerMetrics registers a cache server's families: per-opcode
 // latency histograms, function-backed counters and gauges over the cache's
-// own shard atomics, the dispatch queue depth gauge, and — when the server
+// own shard atomics, the in-flight request gauge, and — when the server
 // speaks the cooperative mesh — the coop table's counters and digest age.
-func newCacheServerMetrics(reg *metrics.Registry, region string, c *cache.Cache, table *coop.Table, gauge *atomic.Int64) *serverMetrics {
+func newCacheServerMetrics(reg *metrics.Registry, region string, c *cache.Cache, table *coop.Table, depth *atomic.Int64) *serverMetrics {
 	m := &serverMetrics{}
 	m.internOps(reg, "cache", region, []string{
 		wire.OpGet, wire.OpPut, wire.OpMGet, wire.OpMPut, wire.OpDelete,
@@ -204,7 +192,6 @@ func newCacheServerMetrics(reg *metrics.Registry, region string, c *cache.Cache,
 		{metrics.NameCacheUsedBytes, "Resident bytes.", "used", c.Used},
 		{metrics.NameCacheCapacityBytes, "Configured capacity in bytes.", "capacity", c.Capacity},
 		{metrics.NameCacheShards, "Lock-stripe shard count.", "shards", func() int64 { return int64(c.ShardCount()) }},
-		{metrics.NameServerQueueDepth, "Shard-dispatch tasks enqueued or executing (0 under conn dispatch).", "dispatch_queue_depth", gauge.Load},
 	}
 	for _, g := range gauges {
 		g := g
@@ -212,6 +199,7 @@ func newCacheServerMetrics(reg *metrics.Registry, region string, c *cache.Cache,
 			Bind(func() float64 { return float64(g.read()) }, "cache", region)
 		m.stats = append(m.stats, statSource{g.key, always(g.read)})
 	}
+	m.bindDepth(reg, "cache", region, depth)
 
 	if table != nil {
 		coopCounters := []struct {
@@ -265,8 +253,8 @@ func newCacheServerMetrics(reg *metrics.Registry, region string, c *cache.Cache,
 }
 
 // newStoreServerMetrics registers a store server's families: per-opcode
-// latency histograms plus chunk/byte gauges and the dispatch queue depth.
-func newStoreServerMetrics(reg *metrics.Registry, region string, st *backend.Store, gauge *atomic.Int64) *serverMetrics {
+// latency histograms plus chunk/byte gauges and the in-flight request gauge.
+func newStoreServerMetrics(reg *metrics.Registry, region string, st *backend.Store, depth *atomic.Int64) *serverMetrics {
 	m := &serverMetrics{}
 	m.internOps(reg, "store", region, []string{
 		wire.OpGet, wire.OpPut, wire.OpMGet, wire.OpDelete, wire.OpDelObj, wire.OpStats,
@@ -281,7 +269,6 @@ func newStoreServerMetrics(reg *metrics.Registry, region string, st *backend.Sto
 		{metrics.NameStoreChunks, "Chunk objects persisted in this region's bucket.", "chunks",
 			func() int64 { return int64(st.Len()) }},
 		{metrics.NameStoreBytes, "Payload bytes persisted in this region's bucket.", "bytes", st.Bytes},
-		{metrics.NameServerQueueDepth, "Shard-dispatch tasks enqueued or executing (0 under conn dispatch).", "dispatch_queue_depth", gauge.Load},
 	}
 	for _, g := range gauges {
 		g := g
@@ -289,7 +276,20 @@ func newStoreServerMetrics(reg *metrics.Registry, region string, st *backend.Sto
 			Bind(func() float64 { return float64(g.read()) }, "store", region)
 		m.stats = append(m.stats, statSource{g.key, always(g.read)})
 	}
+	m.bindDepth(reg, "store", region, depth)
 	return m
+}
+
+// bindDepth exports the server's in-flight request gauge. The wire stats
+// op reads it from inside its own handler, while the stats request itself
+// is in flight, so its payload leaves that one request out: a quiesced
+// server reports 0 on both surfaces.
+func (m *serverMetrics) bindDepth(reg *metrics.Registry, server, region string, depth *atomic.Int64) {
+	reg.NewGaugeFuncVec(metrics.NameServerQueueDepth,
+		"Requests decoded and not yet answered, across all connections.", "server", "region").
+		Bind(func() float64 { return float64(depth.Load()) }, server, region)
+	m.stats = append(m.stats, statSource{"dispatch_queue_depth",
+		always(func() int64 { return max(0, depth.Load()-1) })})
 }
 
 // bindReconfigMetrics exports the node's reconfigurations into the cluster

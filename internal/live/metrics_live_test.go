@@ -3,7 +3,6 @@ package live
 import (
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 
 	"github.com/agardist/agar/internal/cache"
@@ -168,7 +167,8 @@ func benchServerGet(b *testing.B, instrumented bool) {
 	if instrumented {
 		srv, err = NewCacheServerOpts("127.0.0.1:0", c, nil, ServerOptions{})
 	} else {
-		srv, err = newShardServer("127.0.0.1:0", cacheHandler(c, nil, coherence.NewVersionTable(), nil, wire.NewBufferPool()), &cacheRouter{c: c}, new(atomic.Int64), nil, nil)
+		bp := wire.NewBufferPool()
+		srv, err = newServer("127.0.0.1:0", cacheHandler(c, nil, coherence.NewVersionTable(), nil, bp), nil, nil, bp, nil)
 	}
 	if err != nil {
 		b.Fatal(err)

@@ -11,13 +11,12 @@ import (
 )
 
 // pipelineWindow is the default bound on frames a PipelinedCache keeps in
-// flight on its connection. It matches the server's pipelineDepth, so a
-// single adapter can fill a connection's whole server-side window.
+// flight on its connection.
 const pipelineWindow = 64
 
 // PendingReply is one in-flight pipelined call's future. Wait blocks until
 // the reply (or the connection's failure) arrives; replies resolve in send
-// order, the wire contract both dispatch modes guarantee.
+// order, the wire contract the server guarantees.
 type PendingReply struct {
 	done chan struct{}
 	resp wire.Message
@@ -32,13 +31,12 @@ func (p *PendingReply) Wait() (wire.Message, error) {
 
 // PipelinedCache is the opt-in pipelining client adapter for a cache
 // server: instead of the request/response rhythm RemoteCache's pooled
-// connections produce — which the server's adaptive fast path serves
-// inline — it sends frames back to back on one connection and matches
-// replies to requests in FIFO order. Keeping several frames in flight is
-// what actually engages the server's queued shard-dispatch path (per-shard
-// worker overlap, pooled reply buffers, the reply-order writer), and it is
-// how the open-loop load generator drives a server to saturation without a
-// thread per in-flight op.
+// connections produce, it sends frames back to back on one connection and
+// matches replies to requests in FIFO order. Keeping several frames in
+// flight hides the round trip between replies — the server starts each
+// frame as soon as it has written the previous reply — and it is how the
+// open-loop load generator drives a server to saturation without a thread
+// per in-flight op.
 //
 // Go issues a call without blocking for its reply (beyond the in-flight
 // window, which applies back-pressure); the returned PendingReply resolves

@@ -242,8 +242,8 @@ func (c *RemoteCache) GetMulti(key string, indices []int) (map[int][]byte, error
 }
 
 // GetMultiCtx is GetMulti with trace context: a sampled context rides the
-// request and the server's span annotations (queue wait, per-shard
-// execute, split-batch parts) come back with the chunks. The zero context
+// request and the server's span annotations (its execute time) come back
+// with the chunks. The zero context
 // sends the byte-identical untraced frame.
 func (c *RemoteCache) GetMultiCtx(ctx trace.Context, key string, indices []int) (map[int][]byte, []trace.Annotation, error) {
 	if len(indices) == 0 {

@@ -3,13 +3,7 @@
 // hint service (TCP and UDP). It also provides the matching remote client
 // adapters and a network read path with genuinely parallel chunk fetches.
 //
-// Cache and store servers dispatch shard-aware by default: connection
-// goroutines only decode frames and enqueue ops onto per-shard worker
-// pools routed by the cache's own stripe hash (cache.StripeIndex), so
-// connections hitting different shards never serialize and batched
-// mget/mput frames split per shard, run in parallel, and re-merge in
-// ascending chunk order for the reply. See Dispatch for the modes and the
-// per-connection baseline kept for paired benchmarks.
+// Every server runs one memcached-style loop per connection (see Server).
 //
 // The experiment harness measures on the in-process simulator; this package
 // exists so the system can actually be deployed — integration tests and the
@@ -39,21 +33,21 @@ import (
 )
 
 // handler processes one request message into one response message. Handlers
-// must be safe for concurrent use: connection goroutines (conn dispatch) and
-// shard workers (shard dispatch) both invoke them in parallel.
+// must be safe for concurrent use: every connection goroutine invokes them
+// in parallel.
 type handler func(wire.Message) wire.Message
 
-// Server is a generic framed-TCP request/response server. Under conn
-// dispatch each connection's goroutine executes its own frames serially;
-// under shard dispatch (see Dispatch) connections decode and enqueue onto
-// the server's per-shard worker pools.
+// Server is a generic framed-TCP request/response server: each connection's
+// goroutine decodes, executes and answers its own frames serially, so
+// replies leave in request order and concurrency exists across connections.
+// Handlers run under the storage layer's own locks (the cache's shard
+// stripes), so two connections touching different shards never serialize.
 type Server struct {
 	ln     net.Listener
 	handle handler
-	disp   *dispatcher // nil => conn dispatch
 	sm     *serverMetrics
-	// rec is the server's flight recorder (nil when disabled): finished
-	// ops are offered to it on every dispatch path.
+	// rec is the server's flight recorder (nil when disabled): every
+	// finished op is offered to it.
 	rec *trace.Recorder
 	// bp recycles frame, header, and reply-body buffers across this
 	// server's connections: every decoded request borrows its frame from
@@ -61,6 +55,9 @@ type Server struct {
 	// pooled header/body once the bytes leave the socket. One pool per
 	// server keeps Outstanding a per-server leak detector for tests.
 	bp *wire.BufferPool
+	// depth counts requests decoded whose handler has not yet returned,
+	// across every connection — the dispatch_queue_depth gauge.
+	depth *atomic.Int64
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -68,35 +65,25 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// newServer starts serving on addr ("127.0.0.1:0" for an ephemeral port)
-// with per-connection dispatch; sm (nil for the uninstrumented baseline)
-// times each op's execution; rec (nil to disable) is the flight recorder.
-func newServer(addr string, h handler, sm *serverMetrics, rec *trace.Recorder) (*Server, error) {
-	return newServerDispatch(addr, h, nil, sm, rec, nil)
-}
-
-// newShardServer starts a shard-dispatching server: rt routes ops onto
-// per-shard workers, gauge tracks the queue depth, and sm (nil for the
-// uninstrumented baseline) times queue wait and execution per op.
-func newShardServer(addr string, h handler, rt router, gauge *atomic.Int64, sm *serverMetrics, rec *trace.Recorder) (*Server, error) {
-	return newServerDispatch(addr, h, newDispatcher(h, rt, gauge, sm, rec), sm, rec, nil)
-}
-
-// newServerDispatch wires a server together; bp nil creates a private
-// buffer pool (cache and store servers pass the pool their handlers
-// already size reply bodies from, so one pool serves the whole server).
-func newServerDispatch(addr string, h handler, disp *dispatcher, sm *serverMetrics, rec *trace.Recorder, bp *wire.BufferPool) (*Server, error) {
+// newServer starts serving on addr ("127.0.0.1:0" for an ephemeral port).
+// sm (nil for the uninstrumented baseline) times each op's execution; rec
+// (nil to disable) is the flight recorder; bp nil creates a private buffer
+// pool (cache servers pass the pool their handler already sizes reply
+// bodies from, so one pool serves the whole server); depth nil creates a
+// private in-flight gauge (cache and store servers pass the one their
+// metrics export).
+func newServer(addr string, h handler, sm *serverMetrics, rec *trace.Recorder, bp *wire.BufferPool, depth *atomic.Int64) (*Server, error) {
 	if bp == nil {
 		bp = wire.NewBufferPool()
 	}
+	if depth == nil {
+		depth = new(atomic.Int64)
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		if disp != nil {
-			disp.stop()
-		}
 		return nil, fmt.Errorf("live: listen %s: %w", addr, err)
 	}
-	s := &Server{ln: ln, handle: h, disp: disp, sm: sm, rec: rec, bp: bp, conns: make(map[net.Conn]struct{})}
+	s := &Server{ln: ln, handle: h, sm: sm, rec: rec, bp: bp, depth: depth, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -110,46 +97,29 @@ func (s *Server) PoolOutstanding() int64 { return s.bp.Outstanding() }
 // Addr returns the server's bound address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// QueueDepth reports the shard-dispatch queue depth (always 0 under conn
-// dispatch) — the same gauge OpStats exposes as dispatch_queue_depth.
-func (s *Server) QueueDepth() int64 {
-	if s.disp == nil {
-		return 0
-	}
-	return s.disp.QueueDepth()
-}
+// QueueDepth reports the requests decoded and not yet answered (handler
+// still running) across all connections — the same gauge OpStats exposes
+// as dispatch_queue_depth.
+func (s *Server) QueueDepth() int64 { return s.depth.Load() }
 
-// Close stops the listener, closes active connections, waits for all
-// connection goroutines to exit, and — under shard dispatch — drains and
-// stops the shard workers, so every accepted op has been answered or
+// Close stops the listener, closes active connections and waits for all
+// connection goroutines to exit, so every accepted op has been answered or
 // discarded with its connection by the time Close returns. It then
 // verifies the server's buffer pool has drained: every decoded request
 // and every written (or discarded) reply must have released its pooled
-// buffers by now, so a non-zero count is a leak on some dispatch path and
-// panics loudly instead of silently growing in production.
+// buffers by now, so a non-zero count is a leak and panics loudly instead
+// of silently growing in production.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		if s.disp != nil {
-			s.disp.stop()
+	if !s.closed {
+		s.closed = true
+		s.ln.Close()
+		for c := range s.conns {
+			c.Close()
 		}
-		s.verifyPoolDrained()
-		return
-	}
-	s.closed = true
-	s.ln.Close()
-	for c := range s.conns {
-		c.Close()
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	// All connection goroutines have exited, so nothing can enqueue: the
-	// workers drain what is queued and stop.
-	if s.disp != nil {
-		s.disp.stop()
-	}
 	s.verifyPoolDrained()
 }
 
@@ -177,19 +147,18 @@ func (s *Server) acceptLoop() {
 		s.conns[conn] = struct{}{}
 		s.wg.Add(1)
 		s.mu.Unlock()
-		if s.disp != nil {
-			go s.serveConnShard(conn)
-		} else {
-			go s.serveConn(conn)
-		}
+		go s.serveConn(conn)
 	}
 }
 
-// connReadBuffer sizes the per-connection read buffer both dispatch modes
-// frame out of; it also lets the shard loop see whether the client has
-// already pipelined another frame.
+// connReadBuffer sizes the per-connection read buffer frames are decoded
+// out of.
 const connReadBuffer = 32 << 10
 
+// serveConn is the memcached-style connection loop: decode one frame, run
+// it, write its reply, repeat. A pipelining client's later frames wait in
+// the socket buffer, so replies leave in request order and every op
+// executes after the ones before it on the same connection.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -204,199 +173,73 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
+		s.depth.Add(1)
 		resp := runInline(s.handle, s.sm, s.rec, req)
+		s.depth.Add(-1) // before the write: a client holding its reply sees the gauge settled
 		if err := wire.WriteVectored(conn, resp, s.bp); err != nil {
 			return
 		}
 	}
 }
 
-// pipelineDepth bounds how many decoded-but-unanswered frames one
-// connection may have in flight under shard dispatch. The reader goroutine
-// blocks when the window is full — back-pressure on the socket, never
-// unbounded memory.
-const pipelineDepth = 64
-
-// connWindow tracks one connection's dispatched-but-unwritten replies.
-// The reader increments before queueing, the writer decrements after
-// writing (or discarding) each reply — so an idle window means every
-// earlier op has executed AND its reply has left, and the reader may both
-// write to the socket itself and run ops that must order after everything
-// (control ops).
-type connWindow struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	n    int
-}
-
-func newConnWindow() *connWindow {
-	w := &connWindow{}
-	w.cond = sync.NewCond(&w.mu)
-	return w
-}
-
-func (w *connWindow) inc() {
-	w.mu.Lock()
-	w.n++
-	w.mu.Unlock()
-}
-
-func (w *connWindow) dec() {
-	w.mu.Lock()
-	w.n--
-	if w.n == 0 {
-		w.cond.Broadcast()
+// runInline executes one request on the caller's goroutine. The op is
+// handled, observed (a single "exec" annotation), offered to the flight
+// recorder, and its reply annotated when the request carried trace
+// context. With no metrics, no recorder, and no trace context the call
+// is the bare fast path: handle and release, no clock reads.
+func runInline(h handler, sm *serverMetrics, rec *trace.Recorder, req wire.Message) wire.Message {
+	traced := req.Header.Trace != ""
+	if sm == nil && rec == nil && !traced {
+		resp := h(req)
+		req.Release()
+		return resp
 	}
-	w.mu.Unlock()
-}
-
-func (w *connWindow) idle() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.n == 0
-}
-
-func (w *connWindow) waitIdle() {
-	w.mu.Lock()
-	for w.n > 0 {
-		w.cond.Wait()
+	op, tid := req.Header.Op, req.Header.Trace
+	start := time.Now()
+	resp := h(req)
+	exec := time.Since(start)
+	sm.observe(op, exec, tid)
+	req.Release()
+	var anns []trace.Annotation
+	if traced || rec != nil {
+		anns = []trace.Annotation{{Name: "exec", OffUS: 0, DurUS: exec.Microseconds()}}
 	}
-	w.mu.Unlock()
-}
-
-// serveConnShard is the shard-dispatch connection loop: the reader decodes
-// frames and dispatches them, queueing one reply slot per frame in arrival
-// order; the writer answers slots strictly in that order, so responses
-// leave the connection exactly as a serialized loop would order them even
-// while the ops themselves execute on different shard workers.
-//
-// The loop is adaptive: a frame arriving with nothing in flight and no
-// further frame already buffered — the request/response rhythm every
-// pooled client adapter produces — executes on the reader goroutine itself
-// (multi-shard batches still fanning out over the shard workers), skipping
-// the queue-and-writer hops that only pay off when the client actually
-// pipelines. Only genuinely pipelined frames take the queued path, where
-// different shards' ops overlap while replies stay in request order.
-//
-// Pipelined control ops (stats, snapshots, object-level ops, digests)
-// first drain the connection's window: every op this connection dispatched
-// earlier has executed before the control op runs, so execution order —
-// not just reply order — matches conn dispatch. Ops from other connections
-// still overlap; control handlers read concurrently-safe state.
-func (s *Server) serveConnShard(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	br := bufio.NewReaderSize(conn, connReadBuffer)
-	pending := make(chan chan wire.Message, pipelineDepth)
-	window := newConnWindow()
-	var wwg sync.WaitGroup
-	wwg.Add(1)
-	go func() {
-		defer wwg.Done()
-		broken := false
-		for reply := range pending {
-			resp := <-reply
-			if broken {
-				resp.Release() // pooled reply bodies must not leak with the conn
-			} else if wire.WriteVectored(conn, resp, s.bp) != nil {
-				broken = true // keep draining so in-flight ops are accounted
-			}
-			window.dec()
-		}
-	}()
-	for {
-		req, err := wire.ReadPooled(br, s.bp)
-		if err != nil {
-			break
-		}
-		if window.idle() && br.Buffered() == 0 {
-			if wire.WriteVectored(conn, s.disp.dispatchSync(req), s.bp) != nil {
-				break
-			}
-			continue
-		}
-		// Classify once: route is per-chunk key hashing for batches.
-		shard, routed := s.disp.rt.route(req.Header)
-		if !routed && !s.disp.rt.splittable(req.Header) {
-			// Control op (stats, snapshot, object-level, digest): order it
-			// after everything this connection has in flight, then run it
-			// inline; the writer is idle once the window drains, so the
-			// reader writes the reply itself.
-			window.waitIdle()
-			if wire.WriteVectored(conn, s.disp.dispatchSync(req), s.bp) != nil {
-				break
-			}
-			continue
-		}
-		reply := make(chan wire.Message, 1)
-		window.inc()
-		pending <- reply
-		s.disp.dispatchWith(req, reply, shard, routed)
+	if traced {
+		resp.Header.Anns = anns
 	}
-	close(pending)
-	wwg.Wait()
+	if rec != nil {
+		rec.Observe(op, exec, tid, respErr(resp), anns)
+	}
+	return resp
 }
 
-// NewStoreServer serves one region's backend store under shard dispatch.
+// respErr extracts a reply's error message for the flight recorder ("" for
+// non-error replies).
+func respErr(resp wire.Message) string {
+	if resp.Header.Op == wire.OpError {
+		return resp.Header.Error
+	}
+	return ""
+}
+
+// NewStoreServer serves one region's backend store.
 func NewStoreServer(addr string, store *backend.Store) (*Server, error) {
-	return NewStoreServerDispatch(addr, store, DispatchShard)
-}
-
-// NewStoreServerDispatch serves one region's backend store under the given
-// dispatch mode.
-func NewStoreServerDispatch(addr string, store *backend.Store, d Dispatch) (*Server, error) {
-	return NewStoreServerOpts(addr, store, ServerOptions{Dispatch: d})
+	return NewStoreServerOpts(addr, store, ServerOptions{})
 }
 
 // NewStoreServerOpts serves one region's backend store with full options:
-// dispatch mode, a shared metrics registry, and a region label. Metrics are
-// always collected — the wire stats op is built from them — so passing a
-// registry only decides where /metrics scrapes can see them.
+// a shared metrics registry, a region label and a flight recorder. Metrics
+// are always collected — the wire stats op is built from them — so passing
+// a registry only decides where /metrics scrapes can see them.
 func NewStoreServerOpts(addr string, store *backend.Store, opts ServerOptions) (*Server, error) {
 	reg := opts.Registry
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	gauge := new(atomic.Int64)
-	sm := newStoreServerMetrics(reg, opts.Region, store, gauge)
-	h := storeHandler(store, sm)
-	if opts.Dispatch == DispatchConn {
-		return newServer(addr, h, sm, opts.Recorder)
-	}
-	return newShardServer(addr, h, storeRouter{}, gauge, sm, opts.Recorder)
+	depth := new(atomic.Int64)
+	sm := newStoreServerMetrics(reg, opts.Region, store, depth)
+	return newServer(addr, storeHandler(store, sm), sm, opts.Recorder, nil, depth)
 }
-
-// storeDispatchShards stripes a store server's dispatch queues. The backend
-// store has no lock stripes of its own, so the width matches the cache
-// default and routing reuses the cache's stripe hash.
-const storeDispatchShards = 8
-
-// storeRouter routes store ops onto dispatch workers — by key alone, so a
-// pipelined put and a batched mget of the same key always land on the same
-// worker in order (per-connection read-your-writes, as conn dispatch
-// gives). Batched mgets are never split: when the store proxies a remote
-// blob gateway, one mget is one upstream round trip, and splitting per
-// shard would turn it back into many.
-type storeRouter struct{}
-
-func (storeRouter) shards() int { return storeDispatchShards }
-
-func (storeRouter) route(h wire.Header) (int, bool) {
-	switch h.Op {
-	case wire.OpGet, wire.OpPut, wire.OpDelete, wire.OpMGet:
-		return cache.StripeIndex(cache.EntryID{Key: h.Key}, storeDispatchShards), true
-	}
-	return 0, false
-}
-
-func (storeRouter) splittable(wire.Header) bool { return false }
-
-func (storeRouter) split(wire.Message) ([]part, mergeFunc, bool) { return nil, nil, false }
 
 // storeHandler builds the store server's request handler; sm supplies the
 // registry-backed sources the OpStats reply is built from.
@@ -484,318 +327,43 @@ func storeHandler(store *backend.Store, sm *serverMetrics) handler {
 	}
 }
 
-// NewCacheServer serves a chunk cache with memcached-like semantics under
-// shard dispatch.
+// NewCacheServer serves a chunk cache with memcached-like semantics.
 func NewCacheServer(addr string, c *cache.Cache) (*Server, error) {
-	return NewCacheServerDispatch(addr, c, nil, DispatchShard)
+	return NewCacheServerOpts(addr, c, nil, ServerOptions{})
 }
 
 // NewCacheServerCoop serves a chunk cache that also speaks the cooperative
 // mesh protocol: incoming OpDigest frames maintain the table's per-peer
 // residency mirrors, batched reads tagged with a foreign region are
 // accounted as peer traffic, and OpStats reports peer_hits, peer_misses,
-// digests and digest_age_ms alongside the cache counters. Dispatch is
-// shard-aware by default.
+// digests and digest_age_ms alongside the cache counters.
 func NewCacheServerCoop(addr string, c *cache.Cache, table *coop.Table) (*Server, error) {
-	return NewCacheServerDispatch(addr, c, table, DispatchShard)
-}
-
-// NewCacheServerDispatch serves a chunk cache (cooperative when table is
-// non-nil) under the given dispatch mode. Shard dispatch routes every op
-// with the same stripe hash the cache's own shard locks use, so the worker
-// executing an op is the only worker touching that shard; batched
-// mget/mput frames are split per shard, executed in parallel, and
-// re-merged in ascending chunk order. Both modes answer every op
-// byte-identically.
-func NewCacheServerDispatch(addr string, c *cache.Cache, table *coop.Table, d Dispatch) (*Server, error) {
-	return NewCacheServerOpts(addr, c, table, ServerOptions{Dispatch: d})
+	return NewCacheServerOpts(addr, c, table, ServerOptions{})
 }
 
 // NewCacheServerOpts serves a chunk cache (cooperative when table is
-// non-nil) with full options: dispatch mode, a shared metrics registry, and
-// a region label. Metrics are always collected — the wire stats op is built
-// from them — so passing a registry only decides where /metrics scrapes can
-// see them.
+// non-nil) with full options: a shared metrics registry, a region label, a
+// flight recorder and a version-floor table. Metrics are always collected —
+// the wire stats op is built from them — so passing a registry only decides
+// where /metrics scrapes can see them.
 func NewCacheServerOpts(addr string, c *cache.Cache, table *coop.Table, opts ServerOptions) (*Server, error) {
 	reg := opts.Registry
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	gauge := new(atomic.Int64)
-	sm := newCacheServerMetrics(reg, opts.Region, c, table, gauge)
+	depth := new(atomic.Int64)
+	sm := newCacheServerMetrics(reg, opts.Region, c, table, depth)
 	bp := wire.NewBufferPool()
 	vt := opts.Versions
 	if vt == nil {
 		vt = coherence.NewVersionTable()
 	}
-	h := cacheHandler(c, table, vt, sm, bp)
-	if opts.Dispatch == DispatchConn {
-		return newServerDispatch(addr, h, nil, sm, opts.Recorder, bp)
-	}
-	rt := &cacheRouter{c: c, splitMin: opts.SplitMinBytes}
-	return newServerDispatch(addr, h, newDispatcher(h, rt, gauge, sm, opts.Recorder), sm, opts.Recorder, bp)
+	return newServer(addr, cacheHandler(c, table, vt, sm, bp), sm, opts.Recorder, bp, depth)
 }
 
-// cacheRouter routes cache ops onto the cache's own shards.
-type cacheRouter struct {
-	c *cache.Cache
-	// splitMin is the byte threshold below which a multi-shard batch
-	// routes whole instead of fanning out (ServerOptions.SplitMinBytes);
-	// zero always splits.
-	splitMin int
-	// meanEntry caches the cache's mean chunk size for batch byte
-	// estimates, refreshed every meanEntryRefresh routing decisions —
-	// MeanEntryBytes walks every shard lock, far too heavy per frame.
-	meanEntry atomic.Int64
-	estTick   atomic.Uint64
-}
-
-// meanEntryRefresh is how many batch-spread estimates reuse one cached
-// mean entry size before rereading it from the cache.
+// meanEntryRefresh is how many reply-size estimates reuse one cached mean
+// entry size before rereading it from the cache.
 const meanEntryRefresh = 512
-
-func (r *cacheRouter) shards() int { return r.c.ShardCount() }
-
-// batchBytes estimates a batch frame's body weight for the split
-// threshold: mput declares exact per-chunk sizes in its header; mget is
-// estimated as chunk count times the cache's mean entry size.
-func (r *cacheRouter) batchBytes(h wire.Header) int {
-	if h.Op == wire.OpMPut {
-		total := 0
-		for _, s := range h.Sizes {
-			total += s
-		}
-		return total
-	}
-	if r.estTick.Add(1)%meanEntryRefresh == 1 {
-		r.meanEntry.Store(int64(r.c.MeanEntryBytes()))
-	}
-	return len(h.Indices) * int(r.meanEntry.Load())
-}
-
-// shouldSplit applies the size-aware split policy: batches below the
-// configured byte threshold stay whole — the fan-out's queue hops and
-// merge cost more than the parallel shard work saves on small frames.
-// Zero threshold preserves the legacy always-split behaviour, which also
-// keeps the strict per-connection ordering guarantee: a routed-whole
-// multi-shard batch executes on its first chunk's shard worker, so it no
-// longer serializes against single-chunk ops of its other shards.
-func (r *cacheRouter) shouldSplit(h wire.Header) bool {
-	return r.splitMin <= 0 || r.batchBytes(h) >= r.splitMin
-}
-
-// batchShards computes a batch's shard spread from the header alone — no
-// body unpacking — returning the single shard when every chunk stripes to
-// one (the whole frame then routes like a single-shard op).
-func (r *cacheRouter) batchShards(key string, indices []int) (shard int, single bool) {
-	shard = -1
-	for _, idx := range indices {
-		s := r.c.ShardIndex(cache.EntryID{Key: key, Index: idx})
-		if shard == -1 {
-			shard = s
-		} else if s != shard {
-			return 0, false
-		}
-	}
-	return shard, shard >= 0
-}
-
-func (r *cacheRouter) route(h wire.Header) (int, bool) {
-	switch h.Op {
-	case wire.OpGet, wire.OpPut, wire.OpDelete:
-		return r.c.ShardIndex(cache.EntryID{Key: h.Key, Index: h.Index}), true
-	case wire.OpMGet, wire.OpMPut:
-		// A batch whose chunks all stripe to one shard runs whole on that
-		// shard's worker — no split, no re-merge, and strict ordering with
-		// the shard's single-chunk ops.
-		if len(h.Indices) == 0 || len(h.Indices) > wire.MaxBatchChunks {
-			return 0, false
-		}
-		if s, single := r.batchShards(h.Key, h.Indices); single {
-			return s, true
-		}
-		if !r.shouldSplit(h) {
-			// Below the split threshold: the whole batch runs on its first
-			// chunk's shard worker, skipping the fan-out machinery.
-			return r.c.ShardIndex(cache.EntryID{Key: h.Key, Index: h.Indices[0]}), true
-		}
-	}
-	return 0, false
-}
-
-func (r *cacheRouter) splittable(h wire.Header) bool {
-	return h.Op == wire.OpMGet || h.Op == wire.OpMPut
-}
-
-// split fans multi-shard batch frames out one part per shard. Single-shard
-// batches return ok=false — they run whole, inline on the fast path or on
-// their shard's worker via route — as do batches below the split-size
-// threshold and malformed batches (over-limit, inconsistent framing),
-// which fall through to the ordinary handler for its usual error reply
-// without touching state. The spread check reads only the header, so no
-// body is unpacked for frames that will not split.
-func (r *cacheRouter) split(m wire.Message) ([]part, mergeFunc, bool) {
-	if len(m.Header.Indices) == 0 || len(m.Header.Indices) > wire.MaxBatchChunks {
-		return nil, nil, false
-	}
-	if _, single := r.batchShards(m.Header.Key, m.Header.Indices); single {
-		return nil, nil, false
-	}
-	if !r.shouldSplit(m.Header) {
-		return nil, nil, false
-	}
-	switch m.Header.Op {
-	case wire.OpMGet:
-		byShard := make(map[int][]int)
-		for _, idx := range m.Header.Indices {
-			s := r.c.ShardIndex(cache.EntryID{Key: m.Header.Key, Index: idx})
-			byShard[s] = append(byShard[s], idx)
-		}
-		parts := make([]part, 0, len(byShard))
-		for s, idxs := range byShard {
-			h := m.Header
-			h.Indices = idxs
-			parts = append(parts, part{shard: s, req: wire.Message{Header: h}})
-		}
-		return parts, mergeMGet, true
-	case wire.OpMPut:
-		chunks, err := wire.UnpackBatch(m.Header.Indices, m.Header.Sizes, m.Body)
-		if err != nil || len(chunks) == 0 {
-			return nil, nil, false
-		}
-		byShard := make(map[int]map[int][]byte)
-		for idx, data := range chunks {
-			s := r.c.ShardIndex(cache.EntryID{Key: m.Header.Key, Index: idx})
-			if byShard[s] == nil {
-				byShard[s] = make(map[int][]byte)
-			}
-			byShard[s][idx] = data
-		}
-		parts := make([]part, 0, len(byShard))
-		for s, sub := range byShard {
-			indices, sizes, body, err := wire.PackBatch(sub)
-			if err != nil {
-				return nil, nil, false
-			}
-			// Parts carry the batch's trace context so a traced mput's
-			// per-shard executions annotate like a traced mget's (whose
-			// parts copy the whole header above).
-			parts = append(parts, part{shard: s, req: wire.Message{
-				Header: wire.Header{Op: wire.OpMPut, Key: m.Header.Key, Indices: indices, Sizes: sizes,
-					Ver:   m.Header.Ver,
-					Trace: m.Header.Trace, Span: m.Header.Span, TFlags: m.Header.TFlags},
-				Body: body,
-			}})
-		}
-		return parts, mergeMPut, true
-	}
-	return nil, nil, false
-}
-
-// mergeMGet reassembles a split mget's reply without copying a byte: the
-// fragments' chunks become body segments of the merged message, sorted
-// back into global ascending-index order — the same framing an unsplit
-// mget produces, written with one vectored syscall. The merged message
-// adopts the fragments' pooled bodies, so the single Release after the
-// reply is written frees every fragment buffer; error paths release
-// everything before returning their plain error message.
-func mergeMGet(resps []wire.Message) wire.Message {
-	releaseAll := func() {
-		for i := range resps {
-			resps[i].Release()
-		}
-	}
-	for i := range resps {
-		if resps[i].Header.Op == wire.OpError {
-			err := resps[i]
-			for j := range resps {
-				if j != i {
-					resps[j].Release()
-				}
-			}
-			return err
-		}
-	}
-	merged := wire.Message{Header: wire.Header{Op: wire.OpOK}}
-	chunks := make([]wire.BatchChunk, 0, 16)
-	// chunkVers collects per-chunk versions across fragments; it stays nil —
-	// and the merged reply stays byte-identical to the unversioned layout —
-	// until some fragment actually carries Vers.
-	var chunkVers map[int]uint64
-	for i := range resps {
-		if len(resps[i].Header.Indices) == 0 {
-			resps[i].Release()
-			continue
-		}
-		if vs := resps[i].Header.Vers; vs != nil {
-			if chunkVers == nil {
-				chunkVers = make(map[int]uint64, len(vs))
-			}
-			for j, idx := range resps[i].Header.Indices {
-				if j < len(vs) && vs[j] != 0 {
-					chunkVers[idx] = vs[j]
-				}
-			}
-		}
-		var err error
-		chunks, err = wire.AppendBatchViews(chunks, resps[i].Header.Indices, resps[i].Header.Sizes, resps[i].Body)
-		if err != nil {
-			merged.Release()
-			releaseAll()
-			return wire.ErrorMessage(err)
-		}
-		merged.Adopt(&resps[i])
-	}
-	if len(chunks) == 0 {
-		merged.Release()
-		return wire.Message{Header: wire.Header{Op: wire.OpOK}}
-	}
-	sort.Slice(chunks, func(a, b int) bool { return chunks[a].Index < chunks[b].Index })
-	indices := make([]int, len(chunks))
-	sizes := make([]int, len(chunks))
-	segs := make([][]byte, len(chunks))
-	for i, ch := range chunks {
-		if i > 0 && ch.Index == indices[i-1] {
-			// Two shards claimed one chunk: the split was wrong.
-			merged.Release()
-			return wire.ErrorMessage(fmt.Errorf("%w: chunk %d in two batch fragments", wire.ErrBadBatch, ch.Index))
-		}
-		indices[i] = ch.Index
-		sizes[i] = len(ch.Data)
-		segs[i] = ch.Data
-	}
-	merged.Header.Indices = indices
-	merged.Header.Sizes = sizes
-	if chunkVers != nil {
-		vers := make([]uint64, len(indices))
-		for i, idx := range indices {
-			vers[i] = chunkVers[idx]
-		}
-		merged.Header.Vers = vers
-	}
-	merged.Segments = segs
-	return merged
-}
-
-// mergeMPut reassembles a split mput's reply: the ascending union of the
-// chunk indices each shard actually stored.
-func mergeMPut(resps []wire.Message) wire.Message {
-	stored := make([][]int, 0, len(resps))
-	for _, resp := range resps {
-		if resp.Header.Op == wire.OpError || resp.Header.Op == wire.OpStale {
-			// A concurrent newer write can raise the floor between a split
-			// batch's per-shard admits; surfacing the stale verdict beats
-			// reporting a partial store the floor already outdated.
-			return resp
-		}
-		stored = append(stored, resp.Header.Indices)
-	}
-	merged, err := wire.MergeIndices(stored...)
-	if err != nil {
-		return wire.ErrorMessage(err)
-	}
-	return wire.Message{Header: wire.Header{Op: wire.OpOK, Indices: merged}}
-}
 
 // cacheHandler builds the cache server's request handler; table is nil for
 // non-cooperative deployments, which reject digest frames; vt is the
@@ -867,7 +435,7 @@ func cacheHandler(c *cache.Cache, table *coop.Table, vt *coherence.VersionTable,
 			// lock: no per-chunk allocation, no chunk map, no PackBatch copy.
 			// Sorting the request's indices up front (the frame is ours until
 			// release) makes the reply framing ascending — byte-identical to
-			// the PackBatch layout the merge and parity tests pin down — and
+			// the PackBatch layout the parity tests pin down — and
 			// lets duplicate request indices collapse like the map did.
 			sort.Ints(req.Header.Indices)
 			body := bp.Get(n * est())[:0]
@@ -1043,7 +611,7 @@ func NewHintServerRec(addr string, node *core.Node, rec *trace.Recorder) (*Serve
 		default:
 			return wire.ErrorMessage(fmt.Errorf("hint: unknown op %q", req.Header.Op))
 		}
-	}, nil, rec)
+	}, nil, rec, nil, nil)
 }
 
 // UDPHintServer serves hints over UDP, the paper's low-overhead channel

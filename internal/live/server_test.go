@@ -12,121 +12,16 @@ import (
 
 	"github.com/agardist/agar/internal/backend"
 	"github.com/agardist/agar/internal/cache"
+	"github.com/agardist/agar/internal/coherence"
 	"github.com/agardist/agar/internal/geo"
+	"github.com/agardist/agar/internal/metrics"
 	"github.com/agardist/agar/internal/wire"
 )
 
-func TestParseDispatch(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Dispatch
-		err  bool
-	}{
-		{"", DispatchShard, false},
-		{"shard", DispatchShard, false},
-		{"conn", DispatchConn, false},
-		{"both", "", true},
-		{"SHARD", "", true},
-	} {
-		got, err := ParseDispatch(tc.in)
-		if (err != nil) != tc.err {
-			t.Fatalf("ParseDispatch(%q) err = %v, want err %v", tc.in, err, tc.err)
-		}
-		if got != tc.want {
-			t.Fatalf("ParseDispatch(%q) = %q, want %q", tc.in, got, tc.want)
-		}
-	}
-}
-
-// testRouter routes OpGet by Header.Index so tests pick shards directly;
-// everything else is a control op.
-type testRouter struct{ n int }
-
-func (r testRouter) shards() int { return r.n }
-func (r testRouter) route(h wire.Header) (int, bool) {
-	if h.Op == wire.OpGet {
-		return h.Index % r.n, true
-	}
-	return 0, false
-}
-func (r testRouter) splittable(wire.Header) bool                  { return false }
-func (r testRouter) split(wire.Message) ([]part, mergeFunc, bool) { return nil, nil, false }
-
-// TestDispatcherPerShardConcurrency proves ops on different shards execute
-// concurrently: two handlers must be inside the dispatcher at the same
-// instant before either is released.
-func TestDispatcherPerShardConcurrency(t *testing.T) {
-	arrived := make(chan int, 2)
-	release := make(chan struct{})
-	h := func(req wire.Message) wire.Message {
-		arrived <- req.Header.Index
-		<-release
-		return wire.Message{Header: wire.Header{Op: wire.OpOK, Index: req.Header.Index}}
-	}
-	d := newDispatcher(h, testRouter{n: 2}, new(atomic.Int64), nil, nil)
-	defer d.stop()
-
-	replies := [2]chan wire.Message{make(chan wire.Message, 1), make(chan wire.Message, 1)}
-	for shard := 0; shard < 2; shard++ {
-		d.dispatch(wire.Message{Header: wire.Header{Op: wire.OpGet, Index: shard}}, replies[shard])
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case <-arrived:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("only %d of 2 shard handlers running concurrently", i)
-		}
-	}
-	if depth := d.QueueDepth(); depth != 2 {
-		t.Fatalf("queue depth %d with two ops in flight, want 2", depth)
-	}
-	close(release)
-	for shard := 0; shard < 2; shard++ {
-		resp := <-replies[shard]
-		if resp.Header.Op != wire.OpOK || resp.Header.Index != shard {
-			t.Fatalf("shard %d reply = %+v", shard, resp.Header)
-		}
-	}
-}
-
-// TestDispatcherSameShardSerializes proves the flip side: two ops on one
-// shard never run concurrently — the second waits for the first.
-func TestDispatcherSameShardSerializes(t *testing.T) {
-	var inside atomic.Int32
-	var maxInside atomic.Int32
-	h := func(req wire.Message) wire.Message {
-		n := inside.Add(1)
-		for {
-			cur := maxInside.Load()
-			if n <= cur || maxInside.CompareAndSwap(cur, n) {
-				break
-			}
-		}
-		time.Sleep(time.Millisecond)
-		inside.Add(-1)
-		return wire.Message{Header: wire.Header{Op: wire.OpOK}}
-	}
-	d := newDispatcher(h, testRouter{n: 4}, new(atomic.Int64), nil, nil)
-	defer d.stop()
-
-	const ops = 16
-	replies := make([]chan wire.Message, ops)
-	for i := range replies {
-		replies[i] = make(chan wire.Message, 1)
-		d.dispatch(wire.Message{Header: wire.Header{Op: wire.OpGet, Index: 4}}, replies[i]) // all shard 0
-	}
-	for _, r := range replies {
-		<-r
-	}
-	if got := maxInside.Load(); got != 1 {
-		t.Fatalf("%d handlers ran concurrently on one shard, want 1", got)
-	}
-}
-
-// TestShardDispatchFanIn hammers one shard-dispatching cache server from
-// many connections across every shard, asserting the data plane stays
-// correct, the OpStats counters stay consistent, and the queue-depth gauge
-// drains to zero once the fan-in stops.
+// TestShardDispatchFanIn hammers one cache server from many connections
+// across every cache shard, asserting the data plane stays correct, the
+// OpStats counters stay consistent, and the in-flight gauge drains to zero
+// once the fan-in stops.
 func TestShardDispatchFanIn(t *testing.T) {
 	const (
 		shards  = 8
@@ -135,7 +30,7 @@ func TestShardDispatchFanIn(t *testing.T) {
 		indices = 64 // covers every shard many times over
 	)
 	c := cache.NewSharded(1<<22, shards, func() cache.Policy { return cache.NewLRU() })
-	srv, err := NewCacheServerDispatch("127.0.0.1:0", c, nil, DispatchShard)
+	srv, err := NewCacheServer("127.0.0.1:0", c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +134,11 @@ func TestShardDispatchFanIn(t *testing.T) {
 	}
 }
 
-// TestSplitBatchReplyOrdering checks a split mget's reply arrives re-merged
-// in ascending chunk order with the exact framing an unsplit reply uses.
+// TestSplitBatchReplyOrdering checks an mget whose shuffled indices span
+// every cache shard replies in ascending chunk order with batch framing.
 func TestSplitBatchReplyOrdering(t *testing.T) {
 	c := cache.NewSharded(1<<22, 8, func() cache.Policy { return cache.NewLRU() })
-	srv, err := NewCacheServerDispatch("127.0.0.1:0", c, nil, DispatchShard)
+	srv, err := NewCacheServer("127.0.0.1:0", c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,87 +187,19 @@ func TestSplitBatchReplyOrdering(t *testing.T) {
 	}
 }
 
-// TestConnShardByteParity replays one scripted op sequence against a conn-
-// dispatch and a shard-dispatch server over the same cache shape and
-// requires every reply frame to match byte for byte — single-shard and
-// sharded.
-func TestConnShardByteParity(t *testing.T) {
-	script := []wire.Message{
-		{Header: wire.Header{Op: wire.OpPut, Key: "a", Index: 0}, Body: []byte("zero")},
-		{Header: wire.Header{Op: wire.OpPut, Key: "a", Index: 5}, Body: []byte("five")},
-		{Header: wire.Header{Op: wire.OpGet, Key: "a", Index: 0}},
-		{Header: wire.Header{Op: wire.OpGet, Key: "a", Index: 9}}, // miss
-		{Header: wire.Header{Op: wire.OpMGet, Key: "a", Indices: []int{5, 0, 9}}},
-		{Header: wire.Header{Op: wire.OpIndices, Key: "a"}},
-		{Header: wire.Header{Op: wire.OpDelete, Key: "a", Index: 5}},
-		{Header: wire.Header{Op: wire.OpMGet, Key: "a", Indices: []int{5}}}, // now empty
-		{Header: wire.Header{Op: wire.OpSnapshot}},
-		{Header: wire.Header{Op: wire.OpStats}},
-	}
-	// An mput built once so both servers see identical frames.
-	mputIdx, mputSizes, mputBody, err := wire.PackBatch(map[int][]byte{2: []byte("two"), 11: []byte("eleven")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	script = append(script,
-		wire.Message{Header: wire.Header{Op: wire.OpMPut, Key: "b", Indices: mputIdx, Sizes: mputSizes}, Body: mputBody},
-		wire.Message{Header: wire.Header{Op: wire.OpMGet, Key: "b", Indices: []int{11, 2}}},
-	)
-
-	for _, shards := range []int{1, 8} {
-		replies := make(map[Dispatch][][]byte)
-		for _, mode := range []Dispatch{DispatchConn, DispatchShard} {
-			c := cache.NewSharded(1<<20, shards, func() cache.Policy { return cache.NewLRU() })
-			srv, err := NewCacheServerDispatch("127.0.0.1:0", c, nil, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			conn, err := net.Dial("tcp", srv.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, req := range script {
-				if err := wire.Write(conn, req); err != nil {
-					t.Fatal(err)
-				}
-				resp, err := wire.Read(conn)
-				if err != nil {
-					t.Fatal(err)
-				}
-				raw, err := wire.Encode(resp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				replies[mode] = append(replies[mode], raw)
-			}
-			conn.Close()
-			srv.Close()
-		}
-		if len(replies[DispatchConn]) != len(replies[DispatchShard]) {
-			t.Fatalf("shards=%d: reply counts differ", shards)
-		}
-		for i := range replies[DispatchConn] {
-			if !bytes.Equal(replies[DispatchConn][i], replies[DispatchShard][i]) {
-				t.Fatalf("shards=%d op %d (%s): conn reply %q != shard reply %q",
-					shards, i, script[i].Header.Op, replies[DispatchConn][i], replies[DispatchShard][i])
-			}
-		}
-	}
-}
-
-// TestDispatchPipelineOrder pipelines requests on one connection whose ops
-// land on differently loaded shards and requires replies in request order:
-// a fast op behind a slow one must wait its turn, while a second connection
-// hitting the fast shard overtakes both.
+// TestDispatchPipelineOrder pipelines requests on one connection behind a
+// stalled op and requires replies in request order, while a second
+// connection is served meanwhile: connections never serialize behind one
+// another.
 func TestDispatchPipelineOrder(t *testing.T) {
 	slow := make(chan struct{})
 	h := func(req wire.Message) wire.Message {
-		if req.Header.Index%2 == 0 { // shard 0 ops stall until released
+		if req.Header.Index%2 == 0 { // even indices stall until released
 			<-slow
 		}
 		return wire.Message{Header: wire.Header{Op: wire.OpOK, Index: req.Header.Index}}
 	}
-	srv, err := newShardServer("127.0.0.1:0", h, testRouter{n: 2}, new(atomic.Int64), nil, nil)
+	srv, err := newServer("127.0.0.1:0", h, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +210,7 @@ func TestDispatchPipelineOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer connA.Close()
-	// Pipeline on A: slow shard-0 op first, fast shard-1 op second.
+	// Pipeline on A: slow op first, fast op second.
 	if err := wire.Write(connA, wire.Message{Header: wire.Header{Op: wire.OpGet, Index: 0}}); err != nil {
 		t.Fatal(err)
 	}
@@ -391,8 +218,8 @@ func TestDispatchPipelineOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// B's fast-shard op must complete while A's slow op still blocks its
-	// pipeline — two connections on different shards never serialize.
+	// B's fast op must complete while A's slow op still blocks its
+	// pipeline.
 	connB, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -415,13 +242,12 @@ func TestDispatchPipelineOrder(t *testing.T) {
 	}
 }
 
-// TestControlOpOrdersAfterPipelinedOps pipelines shard ops and then a
-// control op (delobj) on one connection: the control op must execute after
-// every earlier op, exactly as a conn-dispatch loop orders them — not just
-// reply in order.
+// TestControlOpOrdersAfterPipelinedOps pipelines puts across every cache
+// shard and then a control op (delobj) on one connection: the control op
+// must execute after every earlier op — not just reply in order.
 func TestControlOpOrdersAfterPipelinedOps(t *testing.T) {
 	c := cache.NewSharded(1<<22, 8, func() cache.Policy { return cache.NewLRU() })
-	srv, err := NewCacheServerDispatch("127.0.0.1:0", c, nil, DispatchShard)
+	srv, err := NewCacheServer("127.0.0.1:0", c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,10 +304,10 @@ func TestControlOpOrdersAfterPipelinedOps(t *testing.T) {
 
 // TestStorePipelinedReadYourWrites pipelines a put and a batched mget of
 // the same key on one store-server connection: the mget must observe the
-// put (both route to the same worker, in order).
+// put.
 func TestStorePipelinedReadYourWrites(t *testing.T) {
 	st := backend.NewStore(geo.Frankfurt)
-	srv, err := NewStoreServerDispatch("127.0.0.1:0", st, DispatchShard)
+	srv, err := NewStoreServer("127.0.0.1:0", st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,11 +352,11 @@ func TestStorePipelinedReadYourWrites(t *testing.T) {
 	}
 }
 
-// benchDispatchGet measures the serial request/response rhythm every pooled
-// client adapter produces — the adaptive fast path under shard dispatch.
-func benchDispatchGet(b *testing.B, mode Dispatch) {
+// BenchmarkDispatchGet measures the serial request/response rhythm every
+// pooled client adapter produces.
+func BenchmarkDispatchGet(b *testing.B) {
 	c := cache.NewSharded(1<<24, 8, func() cache.Policy { return cache.NewLRU() })
-	srv, err := NewCacheServerDispatch("127.0.0.1:0", c, nil, mode)
+	srv, err := NewCacheServer("127.0.0.1:0", c)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -548,16 +374,12 @@ func benchDispatchGet(b *testing.B, mode Dispatch) {
 	}
 }
 
-func BenchmarkDispatchConnGet(b *testing.B)  { benchDispatchGet(b, DispatchConn) }
-func BenchmarkDispatchShardGet(b *testing.B) { benchDispatchGet(b, DispatchShard) }
-
-// benchDispatchPipelined keeps a 16-frame window in flight on one raw
-// connection — the client shape that drives the queued path, where shard
-// dispatch overlaps ops across shard workers while conn dispatch serializes
-// them. The paired regression probe for multi-core environments.
-func benchDispatchPipelined(b *testing.B, mode Dispatch) {
+// BenchmarkDispatchPipelined keeps a 16-frame window in flight on one raw
+// connection — the pipelining client shape, where the server starts each
+// frame as soon as the previous reply is written.
+func BenchmarkDispatchPipelined(b *testing.B) {
 	c := cache.NewSharded(1<<24, 8, func() cache.Policy { return cache.NewLRU() })
-	srv, err := NewCacheServerDispatch("127.0.0.1:0", c, nil, mode)
+	srv, err := NewCacheServer("127.0.0.1:0", c)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -592,14 +414,11 @@ func benchDispatchPipelined(b *testing.B, mode Dispatch) {
 	}
 }
 
-func BenchmarkDispatchConnPipelined(b *testing.B)  { benchDispatchPipelined(b, DispatchConn) }
-func BenchmarkDispatchShardPipelined(b *testing.B) { benchDispatchPipelined(b, DispatchShard) }
-
-// TestDispatchCleanDrain closes a shard server with ops still in flight and
-// requires Close to return with every queue drained.
+// TestDispatchCleanDrain closes a server with ops still in flight and
+// requires Close to return with the in-flight gauge drained.
 func TestDispatchCleanDrain(t *testing.T) {
 	c := cache.NewSharded(1<<22, 8, func() cache.Policy { return cache.NewLRU() })
-	srv, err := NewCacheServerDispatch("127.0.0.1:0", c, nil, DispatchShard)
+	srv, err := NewCacheServer("127.0.0.1:0", c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -638,4 +457,78 @@ func TestDispatchCleanDrain(t *testing.T) {
 	for _, conn := range conns {
 		conn.Close()
 	}
+}
+
+// TestServerQueueDepthTracksInFlight blocks the handler under requests from
+// two connections: the depth gauge must count both while they are held,
+// the wire stats op must leave itself out, and the gauge must read 0 once
+// the client holds every reply.
+func TestServerQueueDepthTracksInFlight(t *testing.T) {
+	release := make(chan struct{})
+	arrived := make(chan struct{}, 2)
+	c := cache.NewSharded(1<<20, 4, func() cache.Policy { return cache.NewLRU() })
+	depth := new(atomic.Int64)
+	sm := newCacheServerMetrics(metrics.NewRegistry(), "", c, nil, depth)
+	inner := cacheHandler(c, nil, coherence.NewVersionTable(), sm, wire.NewBufferPool())
+	h := func(req wire.Message) wire.Message {
+		if req.Header.Op == wire.OpGet {
+			arrived <- struct{}{}
+			<-release
+		}
+		return inner(req)
+	}
+	srv, err := newServer("127.0.0.1:0", h, sm, nil, nil, depth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	var conns []net.Conn
+	for i := 0; i < 2; i++ {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := wire.Write(conn, wire.Message{Header: wire.Header{Op: wire.OpGet, Key: "k", Index: i}}); err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, conn)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-arrived:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of 2 requests reached the handler", i)
+		}
+	}
+	if got := srv.QueueDepth(); got != 2 {
+		t.Fatalf("depth %d with two handlers blocked, want 2", got)
+	}
+	stats, err := wire.Call(mustDial(t, srv.Addr()), wire.Message{Header: wire.Header{Op: wire.OpStats}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.Header.Stats["dispatch_queue_depth"]; got != 2 {
+		t.Fatalf("wire dispatch_queue_depth = %d with two handlers blocked, want 2", got)
+	}
+	close(release)
+	for _, conn := range conns {
+		if resp, err := wire.Read(conn); err != nil || resp.Header.Op != wire.OpNotFound {
+			t.Fatalf("reply: %+v, %v", resp.Header, err)
+		}
+	}
+	if got := srv.QueueDepth(); got != 0 {
+		t.Fatalf("depth %d after every reply, want 0", got)
+	}
+}
+
+func mustDial(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return conn
 }

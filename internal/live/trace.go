@@ -29,7 +29,7 @@ type Span struct {
 	// unreachable region, a failed decode.
 	Err string `json:"err,omitempty"`
 	// Remote holds the server-side annotations the exchange's reply
-	// carried (queue wait, execute, split-batch parts) — real measured
+	// carried (the handler's execute time) — real measured
 	// server time nested under this client-observed span, offsets
 	// relative to the server receiving the frame. Empty for exchanges
 	// that were not traced or whose server predates trace headers.

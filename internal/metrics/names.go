@@ -7,8 +7,9 @@ package metrics
 // new metric without documentation fails tier-1 tests.
 const (
 	// Framed-TCP servers (cache-server, backend-server) — labels
-	// {server, region, op}; the two histograms split one op's life into
-	// its shard-dispatch queue wait and its handler execution.
+	// {server, region, op}; the queue-wait histogram records 0 for every
+	// op (ops run as soon as they are decoded), the execute histogram the
+	// handler's time.
 	NameServerOpQueueWait = "agar_server_op_queue_wait_seconds"
 	NameServerOpExecute   = "agar_server_op_execute_seconds"
 	NameServerQueueDepth  = "agar_server_dispatch_queue_depth"

@@ -104,8 +104,9 @@ func (h *Health) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 }
 
 // DefaultServerRules is the rule set every server binary mounts under
-// /debug/health: dispatch-queue saturation, goroutine and heap growth,
-// and (for cache servers, which register the family) digest staleness.
+// /debug/health: server saturation (requests in flight), goroutine and
+// heap growth, and (for cache servers, which register the family) digest
+// staleness.
 // Thresholds are deliberately loose — readiness, not alerting.
 func DefaultServerRules() []Rule {
 	return []Rule{

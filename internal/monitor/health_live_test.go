@@ -1,7 +1,7 @@
 package monitor_test
 
 // End-to-end readiness flip against a real wire server: saturate a cache
-// server's dispatch queue with pipelined batch reads until /debug/health
+// server with pipelined batch reads until /debug/health
 // answers 503 with the queue rule firing, stop the load, and watch it
 // recover to 200. This is the contract the soak scenarios and deployment
 // probes both rely on: red under pressure, green after the drain.
@@ -29,7 +29,7 @@ func TestHealthFlipUnderSaturation(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// The rule under test: any queued dispatch work is "saturated". A real
+	// The rule under test: any request in flight is "saturated". A real
 	// deployment uses DefaultServerRules' looser ceiling; pinning the flip
 	// mechanics only needs the threshold to sit below the load we generate.
 	health := monitor.NewRegistryHealth("test", reg, []monitor.Rule{{
@@ -69,7 +69,7 @@ func TestHealthFlipUnderSaturation(t *testing.T) {
 	}
 
 	// Saturate: several clients keep a deep pipeline of wide batch reads
-	// in flight so the shard dispatch queue is visibly non-empty.
+	// in flight so the server's in-flight gauge is visibly non-zero.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

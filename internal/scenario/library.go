@@ -88,12 +88,9 @@ func Library() []Spec {
 		},
 		{
 			Name:        "cache-contention",
-			Description: "Twelve client threads from Dublin converge on one region's cache: a tight hot set that fits in cache entirely, so the run is bounded by the cache data plane rather than the WAN. Its live run pairs the server dispatch modes (per-connection loops vs per-shard worker pools) phase by phase.",
+			Description: "Twelve client threads from Dublin converge on one region's cache: a tight hot set that fits in cache entirely, so the run is bounded by the cache data plane rather than the WAN.",
 			Region:      "dublin",
 			Clients:     12,
-			// The live dispatch pair: the same fan-in replayed over
-			// per-connection serialized loops and shard-aware worker pools.
-			DispatchModes: []string{"conn", "shard"},
 			Phases: []Phase{
 				{Name: "warm", Duration: 2 * time.Minute, Workload: Workload{Kind: WorkloadZipfian, Skew: 1.3}},
 				{Name: "hammer", Duration: 4 * time.Minute, Workload: Workload{Kind: WorkloadHotspot, HotLo: 0, HotHi: 24, HotFrac: 0.95},

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"github.com/agardist/agar/internal/geo"
-	"github.com/agardist/agar/internal/live"
 	"github.com/agardist/agar/internal/netsim"
 	"github.com/agardist/agar/internal/store"
 )
@@ -192,15 +191,8 @@ type Spec struct {
 	// counters show the damage. "paired" runs every arm both ways under
 	// "Arm" and "Arm!stale" labels so one report carries the comparison.
 	// Read-only scenarios ignore the field.
-	Coherence string `json:"coherence,omitempty"`
-	// DispatchModes pairs the scenario's live run across server dispatch
-	// modes ("conn", "shard"): the live dispatch runner replays every phase
-	// once per mode over the localhost cluster with Clients concurrent
-	// connections, so the report pairs per-phase throughput mode against
-	// mode. The in-process simulator has no socket layer, so simulated runs
-	// ignore this field.
-	DispatchModes []string `json:"dispatch_modes,omitempty"`
-	Phases        []Phase  `json:"phases"`
+	Coherence string  `json:"coherence,omitempty"`
+	Phases    []Phase `json:"phases"`
 }
 
 // LoadSpec parses one scenario spec from JSON and validates it. Unknown
@@ -394,20 +386,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Coherence != "" && !s.hasUpdates() {
 		return fmt.Errorf("scenario %q: coherence %q set but no phase has updates or rmw", s.Name, s.Coherence)
-	}
-	seenDispatch := make(map[live.Dispatch]bool, len(s.DispatchModes))
-	for _, mode := range s.DispatchModes {
-		if mode == "" {
-			return fmt.Errorf("scenario %q: empty dispatch mode", s.Name)
-		}
-		d, err := live.ParseDispatch(mode)
-		if err != nil {
-			return fmt.Errorf("scenario %q: %w", s.Name, err)
-		}
-		if seenDispatch[d] {
-			return fmt.Errorf("scenario %q: duplicate dispatch mode %q", s.Name, mode)
-		}
-		seenDispatch[d] = true
 	}
 	n := s.objects()
 	seen := make(map[string]bool, len(s.Phases))

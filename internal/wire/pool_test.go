@@ -258,26 +258,6 @@ type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 
-// TestAdoptTransfersOwnership: Adopt moves owned buffers so one Release on
-// the adopter frees everything and the donor's Release is a no-op.
-func TestAdoptTransfersOwnership(t *testing.T) {
-	p := NewBufferPool()
-	donor := Message{}
-	donor.Own(p, p.Get(32))
-	donor.Own(p, p.Get(64))
-	adopter := Message{}
-	adopter.Own(p, p.Get(128))
-	adopter.Adopt(&donor)
-	donor.Release()
-	if p.Outstanding() != 3 {
-		t.Fatalf("donor release freed adopted buffers: outstanding = %d", p.Outstanding())
-	}
-	adopter.Release()
-	if p.Outstanding() != 0 {
-		t.Fatalf("outstanding = %d", p.Outstanding())
-	}
-}
-
 // TestPackBatchViewsAliases: the segments returned by PackBatchViews alias
 // the chunk map's values — no copying on the reply path.
 func TestPackBatchViewsAliases(t *testing.T) {
@@ -295,46 +275,6 @@ func TestPackBatchViewsAliases(t *testing.T) {
 	}
 	if &segs[0][0] != &chunks[0][0] || &segs[1][0] != &chunks[2][0] {
 		t.Fatal("segments do not alias the chunk data")
-	}
-}
-
-// TestAppendBatchViewsValidation: views appending rejects the same shapes
-// UnpackBatch rejects, plus non-ascending indices (the split-merge path
-// relies on ascending fragments to detect duplicates for free).
-func TestAppendBatchViewsValidation(t *testing.T) {
-	body := []byte("aabbb")
-	good := func() ([]BatchChunk, error) {
-		return AppendBatchViews(nil, []int{1, 4}, []int{2, 3}, body)
-	}
-	chunks, err := good()
-	if err != nil || len(chunks) != 2 {
-		t.Fatalf("chunks %v err %v", chunks, err)
-	}
-	if !bytes.Equal(chunks[0].Data, []byte("aa")) || !bytes.Equal(chunks[1].Data, []byte("bbb")) {
-		t.Fatalf("chunk data %q %q", chunks[0].Data, chunks[1].Data)
-	}
-	if &chunks[0].Data[0] != &body[0] {
-		t.Fatal("views copied the body")
-	}
-
-	bad := []struct {
-		name    string
-		indices []int
-		sizes   []int
-		body    []byte
-	}{
-		{"count-mismatch", []int{1, 2}, []int{1}, []byte("a")},
-		{"negative-size", []int{1}, []int{-1}, nil},
-		{"negative-index", []int{-1}, []int{1}, []byte("a")},
-		{"body-short", []int{1}, []int{4}, []byte("ab")},
-		{"body-long", []int{1}, []int{1}, []byte("ab")},
-		{"descending", []int{4, 1}, []int{1, 1}, []byte("ab")},
-		{"duplicate", []int{1, 1}, []int{1, 1}, []byte("ab")},
-	}
-	for _, tc := range bad {
-		if _, err := AppendBatchViews(nil, tc.indices, tc.sizes, tc.body); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
 	}
 }
 
@@ -394,54 +334,4 @@ func TestUnpackBatchCopiesSurviveFrameReuse(t *testing.T) {
 		t.Fatal("views unexpectedly do not alias the frame")
 	}
 	p.Put(scratch)
-}
-
-// FuzzAppendBatchViews cross-checks the zero-copy batch reader against
-// UnpackBatch on arbitrary framing: whenever both accept, the chunk bytes
-// must agree; views must alias the body and copies must not.
-func FuzzAppendBatchViews(f *testing.F) {
-	f.Add(2, []byte{1, 2, 3, 4, 5, 6}, 3)
-	f.Add(1, []byte("x"), 1)
-	f.Add(3, []byte{}, 0)
-	f.Fuzz(func(t *testing.T, n int, body []byte, chunkSize int) {
-		if n <= 0 || n > 64 || chunkSize < 0 || chunkSize > 1024 {
-			t.Skip()
-		}
-		indices := make([]int, n)
-		sizes := make([]int, n)
-		for i := range indices {
-			indices[i] = i * 2 // strictly ascending, as split fragments are
-			sizes[i] = chunkSize
-		}
-		viewChunks, viewErr := AppendBatchViews(nil, indices, sizes, body)
-		mapChunks, mapErr := UnpackBatch(indices, sizes, body)
-		if (viewErr == nil) != (mapErr == nil) {
-			t.Fatalf("views err %v, unpack err %v", viewErr, mapErr)
-		}
-		if viewErr != nil {
-			return
-		}
-		for _, ch := range viewChunks {
-			if !bytes.Equal(mapChunks[ch.Index], ch.Data) {
-				t.Fatalf("chunk %d: views %q vs copies %q", ch.Index, ch.Data, mapChunks[ch.Index])
-			}
-			if len(ch.Data) > 0 {
-				same := &ch.Data[0] == &mapChunks[ch.Index][0]
-				if same {
-					t.Fatal("UnpackBatch aliased the body")
-				}
-			}
-		}
-		// Scribble the body: views change, copies must not.
-		for i := range body {
-			body[i] ^= 0xFF
-		}
-		for _, ch := range viewChunks {
-			if len(ch.Data) > 0 && bytes.Equal(mapChunks[ch.Index], ch.Data) && len(ch.Data) > 0 {
-				// Equal after scribble means the copy aliased (or the chunk
-				// was coincidentally symmetric under XOR, impossible for 0xFF).
-				t.Fatal("copied chunk tracked body mutation")
-			}
-		}
-	})
 }

@@ -100,8 +100,8 @@ type Header struct {
 	Span   string `json:"span,omitempty"`
 	TFlags int    `json:"tflags,omitempty"`
 	// Anns carries the server's span annotations back on the reply to a
-	// traced request: named intervals (queue wait, per-shard execute)
-	// offset from the server's receipt of the frame.
+	// traced request: named intervals (the handler's "exec") offset from
+	// the server's receipt of the frame.
 	Anns []trace.Annotation `json:"anns,omitempty"`
 	// Ver carries one hybrid-logical-clock version (hlc.Timestamp as a
 	// uint64): the write's stamp on versioned put/mput/delobj requests, the
@@ -161,14 +161,6 @@ type ownedBuf struct {
 // so callers can release uniformly.
 func (m *Message) Own(p *BufferPool, buf []byte) {
 	m.owned = append(m.owned, ownedBuf{pool: p, buf: buf})
-}
-
-// Adopt transfers from's owned buffers to m — the merge half of a split
-// batch keeps the fragment bodies its segments alias alive this way, and
-// a single Release on the merged reply frees them all.
-func (m *Message) Adopt(from *Message) {
-	m.owned = append(m.owned, from.owned...)
-	from.owned = nil
 }
 
 // Release returns every owned buffer to its pool and clears the body
@@ -473,50 +465,6 @@ func PackBatch(chunks map[int][]byte) (indices []int, sizes []int, body []byte, 
 	return indices, sizes, body, nil
 }
 
-// MergeBatch unions per-shard batch fragments back into one chunk map — the
-// reply-merging half of a split batch. A server that fans a batch frame out
-// over shard workers gets one fragment per shard back in completion order;
-// merging into a map and re-packing with PackBatch restores the global
-// ascending-index reply ordering, so a split batch's reply is byte-identical
-// to the unsplit one. A chunk index appearing in two fragments means the
-// split was wrong (two shards claimed one chunk) and returns ErrBadBatch.
-func MergeBatch(parts ...map[int][]byte) (map[int][]byte, error) {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make(map[int][]byte, total)
-	for _, p := range parts {
-		for idx, data := range p {
-			if _, dup := out[idx]; dup {
-				return nil, fmt.Errorf("%w: chunk %d in two batch fragments", ErrBadBatch, idx)
-			}
-			out[idx] = data
-		}
-	}
-	return out, nil
-}
-
-// MergeIndices unions per-shard index lists into one ascending list — the
-// reply-merging half of a split mput, whose reply lists the chunk indices
-// that landed. Duplicates across fragments return ErrBadBatch, like
-// MergeBatch.
-func MergeIndices(parts ...[]int) ([]int, error) {
-	seen := make(map[int]bool)
-	var out []int
-	for _, p := range parts {
-		for _, idx := range p {
-			if seen[idx] {
-				return nil, fmt.Errorf("%w: index %d in two batch fragments", ErrBadBatch, idx)
-			}
-			seen[idx] = true
-			out = append(out, idx)
-		}
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
 // PackBatchViews lays a chunk set out as batch framing without copying the
 // chunk bytes: sorted indices, per-chunk sizes, and the chunk slices
 // themselves as body segments in index order. The segments alias the map's
@@ -542,50 +490,6 @@ func PackBatchViews(chunks map[int][]byte) (indices []int, sizes []int, segments
 		segments[i] = chunks[idx]
 	}
 	return indices, sizes, segments, nil
-}
-
-// BatchChunk is one chunk of a batch body viewed in place (AppendBatchViews).
-type BatchChunk struct {
-	Index int
-	Data  []byte // aliases the batch body — valid only while the body is
-}
-
-// AppendBatchViews validates a batch message's framing and appends one
-// BatchChunk per declared chunk to dst, each Data slicing the body in
-// place — no copies, no map. Unlike UnpackBatch it additionally requires
-// the indices to ascend strictly, which everything PackBatch or the cache
-// server produces satisfies; the ordering makes duplicate detection free
-// and lets a merge step sort fragment chunks without a map. The views
-// alias body: they are valid only until the frame buffer is released.
-func AppendBatchViews(dst []BatchChunk, indices, sizes []int, body []byte) ([]BatchChunk, error) {
-	if len(indices) != len(sizes) {
-		return dst, fmt.Errorf("%w: %d indices vs %d sizes", ErrBadBatch, len(indices), len(sizes))
-	}
-	if len(indices) > MaxBatchChunks {
-		return dst, fmt.Errorf("%w: %d chunks exceeds limit %d", ErrBadBatch, len(indices), MaxBatchChunks)
-	}
-	off := 0
-	for i, idx := range indices {
-		if idx < 0 {
-			return dst, fmt.Errorf("%w: negative chunk index %d", ErrBadBatch, idx)
-		}
-		if i > 0 && idx <= indices[i-1] {
-			return dst, fmt.Errorf("%w: indices not strictly ascending at %d", ErrBadBatch, idx)
-		}
-		size := sizes[i]
-		if size < 0 {
-			return dst, fmt.Errorf("%w: negative size %d for chunk %d", ErrBadBatch, size, idx)
-		}
-		if size > len(body)-off {
-			return dst, fmt.Errorf("%w: body truncated at chunk %d (%d of %d bytes)", ErrBadBatch, idx, len(body), off+size)
-		}
-		dst = append(dst, BatchChunk{Index: idx, Data: body[off : off+size]})
-		off += size
-	}
-	if off != len(body) {
-		return dst, fmt.Errorf("%w: %d trailing body bytes", ErrBadBatch, len(body)-off)
-	}
-	return dst, nil
 }
 
 // UnpackBatchViews is UnpackBatch without the copies: every returned chunk
