@@ -1,7 +1,6 @@
 package client
 
 import (
-	"sort"
 	"time"
 
 	"github.com/agardist/agar/internal/cache"
@@ -50,9 +49,10 @@ func (r *AgarReader) Read(key string) ([]byte, Result, error) {
 		monLat = r.env.Sampler.Fixed(monLat)
 	}
 
+	// Every hinted chunk is read from the cache, even one Pick then drops:
+	// the read is what updates the cache policy's state.
 	store := r.node.Cache()
-	cached := make([]fetchOutcome, 0, len(hint.CacheChunks))
-	have := make(map[int]bool, len(hint.CacheChunks))
+	inCache := make(map[int][]byte, len(hint.CacheChunks))
 	missingHint := make([]int, 0, len(hint.CacheChunks))
 	for _, idx := range hint.CacheChunks {
 		data, err := store.Get(cache.EntryID{Key: key, Index: idx})
@@ -60,57 +60,32 @@ func (r *AgarReader) Read(key string) ([]byte, Result, error) {
 			missingHint = append(missingHint, idx)
 			continue
 		}
-		cached = append(cached, fetchOutcome{index: idx, data: data})
-		have[idx] = true
+		inCache[idx] = data
 	}
 
-	// Fetch the nearest not-in-hand chunks until k total. Hinted chunks
-	// that missed the cache are fetched from their home regions like any
-	// other chunk (they are by construction among the k nearest retained).
-	// Chunks resident in cooperative peer caches (§VI) count as "near" at
-	// the peer's latency and are read from the peer instead of the WAN.
+	// Take the k nearest cached chunks (a hint names the configured chunks
+	// plus the resident ones, so it can list more than k), then the nearest
+	// others until k total. Hinted chunks that missed the cache are fetched
+	// from their home regions like any other chunk. Chunks resident in
+	// cooperative peer caches (§VI) count as "near" at the peer's latency
+	// and are read from the peer instead of the WAN.
 	plan := geo.PlanFetch(r.env.Matrix, r.env.Cluster.Placement(), key, codec.Total(), r.region)
-	effLat := make(map[int]int64, len(plan.Chunks))
-	order := make([]int, len(plan.Chunks))
-	for i, idx := range plan.Chunks {
-		order[i] = idx
-		effLat[idx] = plan.Latency[i]
-		if p, ok := hint.PeerChunks[idx]; ok && int64(p.Latency) < effLat[idx] {
-			effLat[idx] = int64(p.Latency)
-		}
-	}
-	sortIntsBy(order, func(a, b int) bool {
-		if effLat[a] != effLat[b] {
-			return effLat[a] < effLat[b]
-		}
-		return a < b
+	order := plan.Order(func(idx int) (time.Duration, bool) {
+		p, ok := hint.PeerChunks[idx]
+		return p.Latency, ok
 	})
-	if len(cached) > k {
-		// A hint names the configured chunks plus the resident ones, so more
-		// than k can come back from the cache: keep the k nearest.
-		rank := make(map[int]int, len(order))
-		for i, idx := range order {
-			rank[idx] = i
-		}
-		sort.Slice(cached, func(a, b int) bool { return rank[cached[a].index] < rank[cached[b].index] })
-		for _, o := range cached[k:] {
-			delete(have, o.index)
-		}
-		cached = cached[:k]
-	}
+	cached := make([]fetchOutcome, 0, k)
+	have := make(map[int]bool, k)
 	var want, fromPeers []int
-	for _, idx := range order {
-		if len(cached)+len(want)+len(fromPeers) >= k {
-			break
-		}
-		if have[idx] {
-			continue
-		}
-		if _, ok := hint.PeerChunks[idx]; ok {
+	for _, idx := range geo.Pick(order, k, func(idx int) bool { _, ok := inCache[idx]; return ok }, nil) {
+		if data, ok := inCache[idx]; ok {
+			cached = append(cached, fetchOutcome{index: idx, data: data})
+			have[idx] = true
+		} else if _, ok := hint.PeerChunks[idx]; ok {
 			fromPeers = append(fromPeers, idx)
-			continue
+		} else {
+			want = append(want, idx)
 		}
-		want = append(want, idx)
 	}
 
 	var res Result

@@ -17,7 +17,6 @@ package client
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/agardist/agar/internal/backend"
@@ -199,53 +198,17 @@ func fetchBackend(env *Env, region geo.RegionID, key string, want []int, have ma
 			break
 		}
 		// Substitute the nearest chunks not yet tried, skipping regions the
-		// client has already seen fail during this read.
-		pending = pending[:0]
-		skippedFailed := false
-		for _, idx := range plan.Chunks {
-			if failed == len(pending) {
-				break
-			}
-			if tried[idx] {
-				continue
-			}
-			if failedRegions[locs[idx]] {
-				skippedFailed = true
-				continue
-			}
-			pending = append(pending, idx)
-		}
-		if len(pending) < failed && skippedFailed {
-			// Not enough healthy-region chunks: fall back to retrying
-			// failed regions (they may have recovered).
-			for _, idx := range plan.Chunks {
-				if len(pending) == failed {
-					break
-				}
-				if !tried[idx] && !containsInt(pending, idx) {
-					pending = append(pending, idx)
-				}
-			}
+		// client has already seen fail during this read; short of those,
+		// retry the failed regions (they may have recovered).
+		pending = geo.Next(plan.Chunks, failed, func(idx int) bool { return tried[idx] || failedRegions[locs[idx]] })
+		if len(pending) < failed {
+			pending = append(pending, geo.Next(plan.Chunks, failed-len(pending), func(idx int) bool { return tried[idx] || !failedRegions[locs[idx]] })...)
 		}
 		if len(pending) < failed {
 			return nil, totalLat, waves, fmt.Errorf("%w: %q exhausted all chunks", ErrUnavailable, key)
 		}
 	}
 	return out, totalLat, waves, nil
-}
-
-// sortIntsBy sorts xs with the given less function.
-func sortIntsBy(xs []int, less func(a, b int) bool) {
-	sort.Slice(xs, func(i, j int) bool { return less(xs[i], xs[j]) })
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // maxWaves bounds degraded-read retries: every chunk can be tried once.

@@ -74,16 +74,7 @@ func (r *FixedReader) Read(key string) ([]byte, Result, error) {
 	}
 
 	// Fetch the nearest chunks not already in hand until k total.
-	want := make([]int, 0, k)
-	for _, idx := range plan.Chunks {
-		if len(cached)+len(want) >= k {
-			break
-		}
-		if have[idx] {
-			continue
-		}
-		want = append(want, idx)
-	}
+	want := geo.Next(plan.Chunks, k-len(cached), func(idx int) bool { return have[idx] })
 
 	var res Result
 	outcomes := cached

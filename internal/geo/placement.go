@@ -1,6 +1,9 @@
 package geo
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // Placement maps the chunks of an object onto regions.
 type Placement interface {
@@ -114,6 +117,52 @@ func sortByLatency(idx []int, lat []int64) {
 			j--
 		}
 	}
+}
+
+// Order returns the plan's chunk indices sorted by effective latency: a
+// chunk's home-region latency, or its peer copy's latency when peer reports
+// a cheaper one. Ties go by chunk index.
+func (f FetchPlan) Order(peer func(idx int) (time.Duration, bool)) []int {
+	order := append([]int(nil), f.Chunks...)
+	lat := make([]int64, len(f.Chunks)) // by chunk index
+	for i, idx := range f.Chunks {
+		lat[idx] = f.Latency[i]
+		if p, ok := peer(idx); ok && int64(p) < lat[idx] {
+			lat[idx] = int64(p)
+		}
+	}
+	sortByLatency(order, lat)
+	return order
+}
+
+// Pick chooses up to k chunks to read, walking order nearest first: the
+// preferred chunks (those a cache can serve) first, then the nearest others
+// that usable accepts. A nil usable accepts every chunk.
+func Pick(order []int, k int, preferred, usable func(idx int) bool) []int {
+	out := make([]int, 0, k)
+	for _, idx := range order {
+		if len(out) < k && preferred(idx) {
+			out = append(out, idx)
+		}
+	}
+	return append(out, Next(order, k-len(out), func(idx int) bool {
+		return preferred(idx) || (usable != nil && !usable(idx))
+	})...)
+}
+
+// Next returns the first n chunks of order that skip does not reject: the
+// substitutes a degraded read tries after n fetches failed.
+func Next(order []int, n int, skip func(idx int) bool) []int {
+	var out []int
+	for _, idx := range order {
+		if len(out) >= n {
+			break
+		}
+		if !skip(idx) {
+			out = append(out, idx)
+		}
+	}
+	return out
 }
 
 // NearestK returns the chunk indices a client would fetch in the common

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -424,17 +423,19 @@ type ctxHinter interface {
 }
 
 // NetworkReader reads objects through the live deployment: it requests a
-// hint, fetches all hinted chunks from the cache server in one batched
-// round trip, reads chunks the cooperative mesh advertises out of peer
-// caches at peer latency, and fetches the remaining nearest chunks from
-// the store servers in parallel goroutines — like the paper's
-// thread-pooled YCSB client — then decodes. A chunk fetch that dies
-// mid-flight triggers degraded-read waves over the remaining reachable
-// regions, a peer chunk evicted since its last digest falls through to the
-// same store path, and hinted chunks that missed the cache are written
-// back through a bounded async population pool so the read path never
-// blocks on cache fills. Wide-area delays are injected client-side, scaled
-// by cfg.DelayScale.
+// hint, picks the k chunks to read with the same planner as the simulated
+// readers (geo.FetchPlan.Order and geo.Pick), and fetches them in one
+// concurrent round — one batched exchange with the cache server for the
+// hinted chunks, one per peer for chunks the cooperative mesh advertises at
+// a cheaper latency, and one per store region for the rest, like the
+// paper's thread-pooled YCSB client — then decodes. Chunks the cache or a
+// peer misses fall through to their stores, batched per region, as soon as
+// the reply lands. A chunk fetch that dies mid-flight triggers degraded-read
+// waves (geo.Next) over the remaining reachable regions, each one batched
+// store exchange per region, and hinted chunks that missed the cache are
+// written back through a bounded async population pool so the read path
+// never blocks on cache fills. Wide-area delays are injected client-side,
+// scaled by cfg.DelayScale.
 type NetworkReader struct {
 	cluster *Cluster
 	region  geo.RegionID
@@ -664,362 +665,95 @@ func (r *NetworkReader) readDetailed(key string, floor uint64) ([]byte, ReadInfo
 	for _, idx := range hintChunks {
 		hinted[idx] = true
 	}
+	peerRoute := r.routePeers(key, plan, hinted)
 
-	// Route chunks through the cooperative mesh: a chunk not hinted locally
-	// whose cheapest reachable peer advertises it (and beats its
-	// home-region latency) is read from that peer instead of the WAN. The
-	// mirror is advisory — a stale entry just means the peer read misses
-	// and the chunk detours to the store path below.
-	peerRoute := make(map[int]*readerPeer)
-	if len(r.peers) > 0 {
-		for i, idx := range plan.Chunks {
-			if hinted[idx] {
-				continue
-			}
-			for pi := range r.peers {
-				p := &r.peers[pi]
-				if int64(p.latency) >= plan.Latency[i] {
-					continue
-				}
-				if r.sampler.Unreachable(r.region, p.region) {
-					continue
-				}
-				if !p.mirror.Contains(cache.EntryID{Key: key, Index: idx}) {
-					continue
-				}
-				if cur, ok := peerRoute[idx]; !ok || p.latency < cur.latency {
-					peerRoute[idx] = p
-				}
-			}
+	// Choose the k chunks to fetch: the nearest hinted ones first (a hint
+	// names the configured chunks plus the resident ones, so it can list
+	// more than k), then the nearest others by effective latency (a
+	// peer-routed chunk counts at its peer's latency), steering around
+	// regions the chaos schedule has severed.
+	reachable := func(idx int) bool { return !r.sampler.Unreachable(r.region, locs[idx]) }
+	order := plan.Order(func(idx int) (time.Duration, bool) {
+		if p := peerRoute[idx]; p != nil {
+			return p.latency, true
 		}
-	}
-
-	// Choose the k chunks to fetch: hinted first, then cheapest others by
-	// effective latency (peer-covered chunks count at peer latency) —
-	// steering around regions the chaos schedule has severed.
-	type cand struct {
-		idx int
-		lat int64
-	}
-	cands := make([]cand, 0, len(plan.Chunks))
-	for i, idx := range plan.Chunks {
-		lat := plan.Latency[i]
-		if p, ok := peerRoute[idx]; ok && int64(p.latency) < lat {
-			lat = int64(p.latency)
-		}
-		cands = append(cands, cand{idx: idx, lat: lat})
-	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].lat != cands[b].lat {
-			return cands[a].lat < cands[b].lat
-		}
-		return cands[a].idx < cands[b].idx
+		return 0, false
 	})
-	// A hint names the configured chunks plus the resident ones, so it can
-	// list more than k: take at most the k nearest.
-	want := make([]int, 0, k)
-	for _, cn := range cands {
-		if hinted[cn.idx] && len(want) < k {
-			want = append(want, cn.idx)
-		}
-	}
-	for _, cn := range cands {
-		if len(want) >= k {
-			break
-		}
-		idx := cn.idx
-		if hinted[idx] {
-			continue
-		}
-		if peerRoute[idx] == nil && r.sampler.Unreachable(r.region, locs[idx]) {
-			continue
-		}
-		want = append(want, idx)
-	}
+	want := geo.Pick(order, k,
+		func(idx int) bool { return hinted[idx] },
+		func(idx int) bool { return peerRoute[idx] != nil || reachable(idx) })
 
-	type outcome struct {
-		idx       int
-		data      []byte
-		ver       uint64 // the chunk's write version; zero for legacy data
-		fromCache bool
-		fromPeer  bool
-		err       error
+	// The read target is the newest version the read must not go behind:
+	// the caller's session floor, the local invalidation floor, and every
+	// fetched chunk's version all raise it. The first round's chunks all
+	// arrive before it settles, so any of them found below it stays
+	// refetchable.
+	g := gate{best: make(map[int]outcome, k), tried: make(map[int]bool, total)}
+	top := max(floor, uint64(r.cluster.versions.Get(key)))
+	for _, o := range r.fetch(tc, key, locs, "store-mget", want, hinted, peerRoute) {
+		g.best[o.idx] = o
+		top = max(top, o.ver)
 	}
-	// Buffered for the worst case: every wanted chunk misses the cache (or
-	// its peer) and retries against the backend.
-	results := make(chan outcome, 2*len(want))
-	var wg sync.WaitGroup
-	fetchStore := func(idx int) { // callers wg.Add before spawning
-		defer wg.Done()
-		t0 := time.Now()
-		if r.sampler.Unreachable(r.region, locs[idx]) {
-			err := fmt.Errorf("live: region %v unreachable", locs[idx])
-			tc.span("store-get:"+locs[idx].String(), t0, 0, 0, err)
-			results <- outcome{idx: idx, err: err}
-			return
-		}
-		r.delay(locs[idx])
-		data, ver, anns, err := r.stores[locs[idx]].GetVerCtx(tc.ctx.Child(), backend.ChunkID{Key: key, Index: idx})
-		got := 0
-		if err == nil {
-			got = 1
-		}
-		tc.spanRemote("store-get:"+locs[idx].String(), t0, got, len(data), err, anns)
-		results <- outcome{idx: idx, data: data, ver: ver, err: err}
-	}
-
-	// Hinted chunks travel in one batched cache round trip, peer-covered
-	// chunks in one batched round trip per peer, and the rest in one
-	// batched round trip per store region — so a region whose store proxies
-	// a remote blob gateway costs one upstream exchange, not one per chunk.
-	var cacheWant []int
-	peerWant := make(map[*readerPeer][]int)
-	storeWant := make(map[geo.RegionID][]int)
 	for _, idx := range want {
-		switch {
-		case hinted[idx]:
-			cacheWant = append(cacheWant, idx)
-		case peerRoute[idx] != nil:
-			p := peerRoute[idx]
-			peerWant[p] = append(peerWant[p], idx)
-		default:
-			storeWant[locs[idx]] = append(storeWant[locs[idx]], idx)
-		}
+		g.tried[idx] = true
 	}
-	for region, idxs := range storeWant {
-		wg.Add(1)
-		go func(region geo.RegionID, idxs []int) {
-			defer wg.Done()
-			t0 := time.Now()
-			if r.sampler.Unreachable(r.region, region) {
-				err := fmt.Errorf("live: region %v unreachable", region)
-				tc.span("store-mget:"+region.String(), t0, 0, 0, err)
-				for _, idx := range idxs {
-					results <- outcome{idx: idx, err: err}
-				}
-				return
-			}
-			r.delay(region)
-			found, vers, _, anns, err := r.stores[region].GetMultiVerCtx(tc.ctx.Child(), key, idxs)
-			bytes := 0
-			for _, data := range found {
-				bytes += len(data)
-			}
-			tc.spanRemote("store-mget:"+region.String(), t0, len(found), bytes, err, anns)
-			for _, idx := range idxs {
-				data, ok := found[idx]
-				if err != nil || !ok {
-					// Failed exchange or chunk gone: the degraded-read waves
-					// below substitute other chunks, exactly as a failed
-					// single fetch would.
-					results <- outcome{idx: idx, err: fmt.Errorf("live: chunk %d of %q missing in %v", idx, key, region)}
-					continue
-				}
-				results <- outcome{idx: idx, data: data, ver: vers[idx]}
-			}
-		}(region, idxs)
-	}
-	if len(cacheWant) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t0 := time.Now()
-			found, vers, anns, err := r.cacheC.GetMultiVerCtx(tc.ctx.Child(), key, cacheWant)
-			if err != nil {
-				found = nil // treat a failed cache round trip as all-miss
-			}
-			bytes := 0
-			for _, data := range found {
-				bytes += len(data)
-			}
-			tc.spanRemote("cache-mget", t0, len(found), bytes, err, anns)
-			for _, idx := range cacheWant {
-				if data, ok := found[idx]; ok {
-					results <- outcome{idx: idx, data: data, ver: vers[idx], fromCache: true}
-					continue
-				}
-				// Hinted but missing: fall through to the backend.
-				wg.Add(1)
-				go fetchStore(idx)
-			}
-		}()
-	}
-	for p, idxs := range peerWant {
-		wg.Add(1)
-		go func(p *readerPeer, idxs []int) {
-			defer wg.Done()
-			t0 := time.Now()
-			r.delayDur(p.latency)
-			found, vers, anns, err := p.cache.GetMultiVerCtx(tc.ctx.Child(), key, idxs)
-			rtt := time.Since(t0)
-			if p.rtt != nil {
-				p.rtt.Observe(float64(rtt) / float64(time.Millisecond))
-			}
-			if err != nil {
-				found = nil // a dead peer is an all-miss, never an error
-			}
-			bytes := 0
-			for _, data := range found {
-				bytes += len(data)
-			}
-			tc.spanRemote("peer-mget:"+p.region.String(), t0, len(found), bytes, err, anns)
-			for _, idx := range idxs {
-				if data, ok := found[idx]; ok {
-					results <- outcome{idx: idx, data: data, ver: vers[idx], fromPeer: true}
-					continue
-				}
-				// Stale digest: the peer evicted the chunk since its last
-				// advertisement. Detour to the WAN store path.
-				wg.Add(1)
-				go fetchStore(idx)
-			}
-		}(p, idxs)
-	}
-	wg.Wait()
-	close(results)
-
-	// Collect into a per-index outcome map so stale filtering can discard a
-	// chunk and let the degraded waves refetch it. The read target is the
-	// newest version the read must not go behind: the caller's session
-	// floor, the local invalidation floor, and every fetched chunk's version
-	// all raise it.
-	best := make(map[int]outcome, len(want))
-	tried := make(map[int]bool, len(want))
-	target := floor
-	if f := uint64(r.cluster.versions.Get(key)); f > target {
-		target = f
-	}
-	for o := range results {
-		tried[o.idx] = true
-		if o.err != nil {
-			continue
-		}
-		if prev, ok := best[o.idx]; !ok || o.ver > prev.ver {
-			best[o.idx] = o
-		}
-		if o.ver > target {
-			target = o.ver
-		}
-	}
-	// Drop chunks below the target — a cache or peer serving
-	// pre-invalidation state, or a store region a write has not reached
-	// yet. Once the target is nonzero the object is versioned, and a
-	// version-zero chunk is of unknown generation (a legacy insert from
-	// before the first versioned write): decoding it alongside current
-	// chunks could tear the object, so it drops too. A zero target (a
-	// never-versioned object) keeps everything. Dropped indices become
-	// untried so the waves refetch them from the authoritative stores.
-	stale := 0
-	for idx, o := range best {
-		if o.ver < target {
-			delete(best, idx)
-			stale++
-			tried[idx] = false
-		}
-	}
+	g.raise(top)
 
 	// Degraded-read waves: a chunk fetch that died mid-flight (server gone,
 	// link cut after planning, stale version dropped above) is replaced by
 	// the nearest chunks not yet tried, wave after wave, until k chunks
 	// arrive or reachable candidates run out — the live twin of the
 	// simulator client's substitution waves.
-	for len(best) < k {
-		var extra []int
-		for _, idx := range plan.Chunks {
-			if len(extra) == k-len(best) {
-				break
-			}
-			if tried[idx] || r.sampler.Unreachable(r.region, locs[idx]) {
-				continue
-			}
-			extra = append(extra, idx)
-		}
+	for len(g.best) < k {
+		extra := geo.Next(plan.Chunks, k-len(g.best), func(idx int) bool { return g.tried[idx] || !reachable(idx) })
 		if len(extra) == 0 {
 			break
 		}
-		wave := make(chan outcome, len(extra))
-		var wwg sync.WaitGroup
 		for _, idx := range extra {
-			tried[idx] = true
-			wwg.Add(1)
-			go func(idx int) {
-				defer wwg.Done()
-				t0 := time.Now()
-				r.delay(locs[idx])
-				data, ver, anns, err := r.stores[locs[idx]].GetVerCtx(tc.ctx.Child(), backend.ChunkID{Key: key, Index: idx})
-				got := 0
-				if err == nil {
-					got = 1
-				}
-				tc.spanRemote("degraded-get:"+locs[idx].String(), t0, got, len(data), err, anns)
-				wave <- outcome{idx: idx, data: data, ver: ver, err: err}
-			}(idx)
+			g.tried[idx] = true
 		}
-		wwg.Wait()
-		close(wave)
-		for o := range wave {
-			if o.err != nil {
+		for _, o := range r.fetch(tc, key, locs, "degraded-mget", extra, nil, nil) {
+			g.raise(o.ver)
+			if o.ver < g.target {
+				g.stale++ // stays tried: the next wave moves to other chunks
 				continue
 			}
-			if o.ver > target {
-				// A newer write landed mid-read: everything older already
-				// collected is now stale. Raise the target and re-filter;
-				// re-dropped indices become refetchable once more.
-				target = o.ver
-				for idx, b := range best {
-					if b.ver < target {
-						delete(best, idx)
-						stale++
-						tried[idx] = false
-					}
-				}
-			}
-			if o.ver < target {
-				stale++ // already tried: the next wave moves to other chunks
-				continue
-			}
-			best[o.idx] = o
+			g.best[o.idx] = o
 		}
 	}
 
 	chunks := make([][]byte, total)
-	got, fromCache, fromPeers := 0, 0, 0
 	toCache := make(map[int][]byte)
 	var fillVer uint64
-	for idx, o := range best {
+	info := ReadInfo{StaleDrops: g.stale, Version: g.target}
+	for idx, o := range g.best {
 		chunks[idx] = o.data
-		got++
 		switch {
-		case o.fromCache:
-			fromCache++
-		case o.fromPeer:
-			fromPeers++
+		case o.from == tierCache:
+			info.CacheChunks++
+		case o.from == tierPeer:
+			info.PeerChunks++
 		case hinted[idx]:
 			toCache[idx] = o.data
-			if o.ver > fillVer {
-				fillVer = o.ver
-			}
+			fillVer = max(fillVer, o.ver)
 		}
 	}
-	if stale > 0 && r.staleDrops != nil {
-		r.staleDrops.Add(int64(stale))
+	if g.stale > 0 && r.staleDrops != nil {
+		r.staleDrops.Add(int64(g.stale))
 	}
-	info := ReadInfo{CacheChunks: fromCache, PeerChunks: fromPeers, StaleDrops: stale, Version: target}
-	if got < k {
-		info.Latency = time.Since(start)
-		info.Trace = tc.finish(key)
-		return nil, info, fmt.Errorf("live: only %d of %d chunks for %q", got, k, key)
-	}
-	decT0 := time.Now()
-	data, err := r.cluster.codec.Decode(chunks)
-	tc.span("decode", decT0, 0, len(data), err)
-	if err != nil {
-		info.Latency = time.Since(start)
-		info.Trace = tc.finish(key)
-		return nil, info, err
+	var data []byte
+	if len(g.best) < k {
+		err = fmt.Errorf("live: only %d of %d chunks for %q", len(g.best), k, key)
+	} else {
+		decT0 := time.Now()
+		data, err = r.cluster.codec.Decode(chunks)
+		tc.span("decode", decT0, 0, len(data), err)
 	}
 	info.Latency = time.Since(start)
 	info.Trace = tc.finish(key)
+	if err != nil {
+		return nil, info, err
+	}
 
 	// Hand hinted-but-missed chunks to the async population pool: the fill
 	// happens off the read path, batched into one PutMulti per object and
@@ -1028,4 +762,183 @@ func (r *NetworkReader) readDetailed(key string, floor uint64) ([]byte, ReadInfo
 	// pre-write chunks.
 	r.pop.enqueue(key, toCache, fillVer)
 	return data, info, nil
+}
+
+// routePeers routes chunks through the cooperative mesh: a chunk not hinted
+// locally whose cheapest reachable peer advertises it (and beats its
+// home-region latency) is read from that peer instead of the WAN. The
+// mirror is advisory — a stale entry just means the peer read misses and
+// the chunk falls through to its store.
+func (r *NetworkReader) routePeers(key string, plan geo.FetchPlan, hinted map[int]bool) map[int]*readerPeer {
+	route := make(map[int]*readerPeer)
+	for i, idx := range plan.Chunks {
+		if hinted[idx] {
+			continue
+		}
+		for pi := range r.peers {
+			p := &r.peers[pi]
+			if int64(p.latency) >= plan.Latency[i] {
+				continue
+			}
+			if r.sampler.Unreachable(r.region, p.region) {
+				continue
+			}
+			if !p.mirror.Contains(cache.EntryID{Key: key, Index: idx}) {
+				continue
+			}
+			if cur, ok := route[idx]; !ok || p.latency < cur.latency {
+				route[idx] = p
+			}
+		}
+	}
+	return route
+}
+
+// tier is where a fetched chunk came from.
+type tier uint8
+
+const (
+	tierStore tier = iota
+	tierCache
+	tierPeer
+)
+
+// outcome is one chunk a fetch round delivered, with the write version it
+// was stored under (zero for legacy data).
+type outcome struct {
+	idx  int
+	data []byte
+	ver  uint64
+	from tier
+}
+
+// fetch runs one concurrent fetch round for want and returns every chunk
+// that arrived, in arrival order. Hinted chunks travel in one batched
+// exchange with the local cache and peer-routed chunks in one per peer;
+// whatever those miss falls through to the stores as soon as the reply
+// lands. Every store-bound chunk travels in one batched exchange per region,
+// named span:<region>, so a region whose store proxies a remote blob
+// gateway costs one upstream exchange, not one per chunk. A failed exchange
+// delivers nothing: the caller's degraded waves substitute other chunks.
+func (r *NetworkReader) fetch(tc *traceCollector, key string, locs []geo.RegionID, span string, want []int, hinted map[int]bool, peerRoute map[int]*readerPeer) []outcome {
+	var (
+		wg  sync.WaitGroup
+		mu  sync.Mutex
+		out []outcome
+	)
+	// deliver records the found chunks among idxs and returns the rest.
+	deliver := func(idxs []int, found map[int][]byte, vers map[int]uint64, from tier) (missed []int) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, idx := range idxs {
+			if data, ok := found[idx]; ok {
+				out = append(out, outcome{idx: idx, data: data, ver: vers[idx], from: from})
+			} else {
+				missed = append(missed, idx)
+			}
+		}
+		return missed
+	}
+	stores := func(idxs []int) {
+		byRegion := make(map[geo.RegionID][]int)
+		for _, idx := range idxs {
+			byRegion[locs[idx]] = append(byRegion[locs[idx]], idx)
+		}
+		for region, idxs := range byRegion {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				t0 := time.Now()
+				var found map[int][]byte
+				var vers map[int]uint64
+				var anns []trace.Annotation
+				var err error
+				if r.sampler.Unreachable(r.region, region) {
+					err = fmt.Errorf("live: region %v unreachable", region)
+				} else {
+					r.delay(region)
+					found, vers, _, anns, err = r.stores[region].GetMultiVerCtx(tc.ctx.Child(), key, idxs)
+				}
+				tc.spanRemote(span+":"+region.String(), t0, len(found), sizeOf(found), err, anns)
+				deliver(idxs, found, vers, tierStore)
+			}()
+		}
+	}
+	mget := func(name string, c *RemoteCache, lat time.Duration, rtt *metrics.Histogram, from tier, idxs []int) {
+		defer wg.Done()
+		t0 := time.Now()
+		r.delayDur(lat)
+		found, vers, anns, err := c.GetMultiVerCtx(tc.ctx.Child(), key, idxs)
+		if rtt != nil {
+			rtt.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
+		}
+		if err != nil {
+			found = nil // a failed cache or peer exchange is an all-miss, never an error
+		}
+		tc.spanRemote(name, t0, len(found), sizeOf(found), err, anns)
+		stores(deliver(idxs, found, vers, from))
+	}
+
+	var cacheWant, storeWant []int
+	peerWant := make(map[*readerPeer][]int)
+	for _, idx := range want {
+		switch p := peerRoute[idx]; {
+		case hinted[idx]:
+			cacheWant = append(cacheWant, idx)
+		case p != nil:
+			peerWant[p] = append(peerWant[p], idx)
+		default:
+			storeWant = append(storeWant, idx)
+		}
+	}
+	stores(storeWant)
+	if len(cacheWant) > 0 {
+		wg.Add(1)
+		go mget("cache-mget", r.cacheC, 0, nil, tierCache, cacheWant)
+	}
+	for p, idxs := range peerWant {
+		wg.Add(1)
+		go mget("peer-mget:"+p.region.String(), p.cache, p.latency, p.rtt, tierPeer, idxs)
+	}
+	wg.Wait()
+	return out
+}
+
+// sizeOf is the payload volume of a batch reply.
+func sizeOf(found map[int][]byte) int {
+	n := 0
+	for _, data := range found {
+		n += len(data)
+	}
+	return n
+}
+
+// gate is a read's version gate: the chunks collected at the read's target
+// version, and the chunk indices already tried.
+type gate struct {
+	target uint64
+	best   map[int]outcome
+	tried  map[int]bool
+	stale  int
+}
+
+// raise lifts the target to v and drops every collected chunk below it — a
+// cache or peer serving pre-invalidation state, or a store region a write
+// has not reached yet. Once the target is nonzero the object is versioned,
+// and a version-zero chunk is of unknown generation (a legacy insert from
+// before the first versioned write): decoding it alongside current chunks
+// could tear the object, so it drops too. Dropped indices become untried so
+// the waves refetch them from the authoritative stores.
+func (g *gate) raise(v uint64) {
+	if v <= g.target {
+		return
+	}
+	g.target = v
+	for idx, o := range g.best {
+		if o.ver < v {
+			delete(g.best, idx)
+			g.stale++
+			g.tried[idx] = false
+		}
+	}
 }

@@ -46,31 +46,6 @@ func (s *RemoteStore) DeleteObjectVer(key string, ver uint64) error {
 	return staleFromReply(resp.Header)
 }
 
-// GetVer fetches one chunk plus the key's durable version floor (zero for a
-// never-versioned key).
-func (s *RemoteStore) GetVer(id backend.ChunkID) ([]byte, uint64, error) {
-	resp, err := s.rc.call(wire.Message{Header: wire.Header{Op: wire.OpGet, Key: id.Key, Index: id.Index}})
-	if err != nil {
-		return nil, 0, err
-	}
-	if resp.Header.Op == wire.OpNotFound {
-		return nil, 0, backend.ErrNotFound
-	}
-	return resp.Body, resp.Header.Ver, nil
-}
-
-// GetVerCtx is GetVer with trace context (see GetCtx).
-func (s *RemoteStore) GetVerCtx(ctx trace.Context, id backend.ChunkID) ([]byte, uint64, []trace.Annotation, error) {
-	resp, anns, err := s.rc.callCtx(ctx, wire.Message{Header: wire.Header{Op: wire.OpGet, Key: id.Key, Index: id.Index}})
-	if err != nil {
-		return nil, 0, anns, err
-	}
-	if resp.Header.Op == wire.OpNotFound {
-		return nil, 0, anns, backend.ErrNotFound
-	}
-	return resp.Body, resp.Header.Ver, anns, nil
-}
-
 // GetMultiVerCtx is GetMultiCtx plus versions: per-chunk write versions
 // (nil for a never-versioned key) and the key's floor.
 func (s *RemoteStore) GetMultiVerCtx(ctx trace.Context, key string, indices []int) (map[int][]byte, map[int]uint64, uint64, []trace.Annotation, error) {
@@ -146,19 +121,6 @@ func (c *RemoteCache) DeleteObjectVer(key string, ver uint64) error {
 		return err
 	}
 	return staleFromReply(resp.Header)
-}
-
-// GetVer fetches one cached chunk plus the write version it was inserted
-// under (zero for a legacy insert).
-func (c *RemoteCache) GetVer(id cache.EntryID) ([]byte, uint64, error) {
-	resp, err := c.rc.call(wire.Message{Header: wire.Header{Op: wire.OpGet, Key: id.Key, Index: id.Index}})
-	if err != nil {
-		return nil, 0, err
-	}
-	if resp.Header.Op == wire.OpNotFound {
-		return nil, 0, cache.ErrNotFound
-	}
-	return resp.Body, resp.Header.Ver, nil
 }
 
 // GetMultiVerCtx is GetMultiCtx plus per-chunk write versions (nil when

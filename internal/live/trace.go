@@ -9,13 +9,14 @@ import (
 )
 
 // Span is one timed exchange inside a single live read: the hint lookup,
-// a batched cache/peer/store round trip, a single-chunk store fallback, a
-// degraded-wave fetch, or the erasure decode. Offsets are relative to the
+// a batched cache, peer or store round trip, a degraded wave's batched
+// store round trip, or the erasure decode. Offsets are relative to the
 // read's start so traces from different reads compare directly.
 type Span struct {
 	// Name identifies the exchange: "hint", "cache-mget",
-	// "peer-mget:<region>", "store-mget:<region>", "store-get:<region>",
-	// "degraded-get:<region>", "decode".
+	// "peer-mget:<region>", "store-mget:<region>" (first-round store
+	// chunks plus the cache's and peers' misses), "degraded-mget:<region>"
+	// (a substitution wave), "decode".
 	Name string `json:"name"`
 	// StartMS is the span's offset from the read's start, in milliseconds.
 	StartMS float64 `json:"start_ms"`

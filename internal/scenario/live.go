@@ -26,11 +26,6 @@ type LiveOptions struct {
 	Ops int
 	// Objects is the working set (default 40).
 	Objects int
-	// ObjectBytes is the stored object size (default 4 KiB).
-	ObjectBytes int
-	// K, M are the erasure-code parameters (default 4+2: one chunk per
-	// default region, so outages and partitions bite).
-	K, M int
 	// DelayScale compresses the emulated WAN delays (default 0.002:
 	// 980 ms becomes ~2 ms). Negative disables delay injection entirely.
 	DelayScale float64
@@ -41,18 +36,19 @@ type LiveOptions struct {
 	Traces int
 }
 
+// The live smoke stores 4 KiB objects under a 4+2 code: one chunk per
+// default region, so outages and partitions bite.
+const (
+	liveObjectBytes = 4 * 1024
+	liveK, liveM    = 4, 2
+)
+
 func (o LiveOptions) withDefaults() LiveOptions {
 	if o.Ops <= 0 {
 		o.Ops = 120
 	}
 	if o.Objects <= 0 {
 		o.Objects = 40
-	}
-	if o.ObjectBytes <= 0 {
-		o.ObjectBytes = 4 * 1024
-	}
-	if o.K <= 0 {
-		o.K, o.M = 4, 2
 	}
 	if o.DelayScale == 0 {
 		o.DelayScale = 0.002
@@ -205,12 +201,12 @@ func RunLiveSmoke(spec Spec, opts LiveOptions) (*LiveResult, error) {
 	sched := compile(firstPhase, time.Now()).schedule
 	sched.SetEpoch(time.Now().Add(24 * time.Hour))
 
-	chunkBytes := int64(opts.ObjectBytes/opts.K + 1)
+	chunkBytes := int64(liveObjectBytes/liveK + 1)
 	boot := func(clientRegion geo.RegionID, sched *netsim.Schedule, metricsAddr string) (*live.Cluster, error) {
 		return live.StartCluster(live.ClusterConfig{
 			Regions:        geo.DefaultRegions(),
-			K:              opts.K,
-			M:              opts.M,
+			K:              liveK,
+			M:              liveM,
 			ClientRegion:   clientRegion,
 			CacheBytes:     30 * chunkBytes,
 			ChunkBytes:     chunkBytes,
@@ -268,6 +264,11 @@ func RunLiveSmoke(spec Spec, opts LiveOptions) (*LiveResult, error) {
 		// and an empty digest. The warm sequence drives reconfiguration
 		// itself; the advertiser keeps digesting the static warm cache.
 		peer.Node().Stop()
+		// Freeze the measured cluster's loop too: how many measured reads
+		// the peer assists would otherwise depend on where its wall-clock
+		// reconfiguration lands, and a run with only a couple of
+		// peer-assisted reads lets one slow read flip the paired means.
+		cluster.Node().Stop()
 		peerReader, err := live.NewNetworkReader(peer, peerRegion)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q live peer: %w", spec.Name, err)
@@ -466,7 +467,7 @@ func opLatencies(start, end []metrics.Family) []OpLatency {
 // same deterministic payload — into the cluster's backend. Shared by every
 // live runner so their deployments load identically.
 func loadWorkingSet(c *live.Cluster, opts LiveOptions) error {
-	payload := make([]byte, opts.ObjectBytes)
+	payload := make([]byte, liveObjectBytes)
 	for i := range payload {
 		payload[i] = byte(i * 17)
 	}

@@ -32,10 +32,6 @@ type Options struct {
 	// Seed makes the whole run deterministic; every arm replays the same
 	// seeded key stream and latency jitter so arms pair (default 1).
 	Seed int64
-	// ObjectBytes is the real simulated object size (default 9 KiB).
-	ObjectBytes int
-	// Solver picks Agar's knapsack algorithm (default POPULATE).
-	Solver core.Solver
 }
 
 func (o Options) withDefaults() Options {
@@ -49,12 +45,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.ObjectBytes <= 0 {
-		o.ObjectBytes = 9 * 1024
-	}
-	if o.Solver == 0 {
-		o.Solver = core.SolverPopulate
 	}
 	return o
 }
@@ -247,9 +237,7 @@ func Run(spec Spec, opts Options) (*Report, error) {
 
 	params := experiments.DefaultParams()
 	params.NumObjects = spec.objects()
-	params.ObjectBytes = opts.ObjectBytes
 	params.Seed = opts.Seed
-	params.Solver = opts.Solver
 	if spec.Clients > 0 {
 		params.Clients = spec.Clients
 	}
@@ -388,7 +376,7 @@ func runArm(d *experiments.Deployment, spec Spec, opts Options, arm experiments.
 				invs = append(invs, p.node.Cache())
 			}
 		}
-		mut = newMutator(env, region, opts.ObjectBytes, invs...)
+		mut = newMutator(env, region, d.Params.ObjectBytes, invs...)
 	}
 
 	// warmPeers drives each peer's own clients on the phase workload —

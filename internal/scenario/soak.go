@@ -187,9 +187,7 @@ func RunSoak(s SoakSpec, opts Options) (*SoakReport, error) {
 
 	params := experiments.DefaultParams()
 	params.NumObjects = s.Spec.objects()
-	params.ObjectBytes = opts.ObjectBytes
 	params.Seed = opts.Seed
-	params.Solver = opts.Solver
 	if s.Spec.Clients > 0 {
 		params.Clients = s.Spec.Clients
 	}
@@ -290,7 +288,7 @@ func soakArm(d *experiments.Deployment, spec Spec, s SoakSpec, opts Options, arm
 				invs = append(invs, c)
 			}
 		}
-		mut = newMutator(env, region, opts.ObjectBytes, invs...)
+		mut = newMutator(env, region, d.Params.ObjectBytes, invs...)
 	}
 
 	// The arm's monitor side: a store sized to hold every sample of the

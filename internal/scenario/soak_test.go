@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -132,6 +133,14 @@ func TestLongSoakAlertTimeline(t *testing.T) {
 		if !strings.Contains(md, want) {
 			t.Errorf("markdown missing %q:\n%s", want, md)
 		}
+	}
+
+	// The run reproduces the committed BENCH_soak.json exactly (wall-clock
+	// elapsed time aside).
+	var committed map[string]any
+	readGolden(t, "BENCH_soak.json", &committed)
+	if !reflect.DeepEqual(golden(t, rep), golden(t, committed)) {
+		t.Errorf("soak report differs from BENCH_soak.json; if the change is intended, regenerate with %s", regenerate)
 	}
 }
 
