@@ -46,9 +46,6 @@ type ManagerParams struct {
 	K int
 	// CacheSlots is the cache capacity expressed in chunk slots.
 	CacheSlots int
-	// WeightGrid lists the option weights generated per object; nil means
-	// DefaultWeightGrid(K).
-	WeightGrid []int
 	// CacheLatency is the local cache access time used when valuing fully
 	// cached objects.
 	CacheLatency time.Duration
@@ -106,13 +103,6 @@ func NewCacheManager(params ManagerParams, monitor PopularitySource, regions *Re
 	if params.CacheSlots < 0 {
 		panic("core: negative cache slots")
 	}
-	if params.WeightGrid == nil {
-		params.WeightGrid = DefaultWeightGrid(params.K)
-	}
-	// Options come out in grid order and every solver wants them by
-	// increasing weight.
-	params.WeightGrid = slices.Clone(params.WeightGrid)
-	slices.Sort(params.WeightGrid)
 	if params.Solver == 0 {
 		params.Solver = SolverPopulate
 	}
@@ -232,6 +222,7 @@ func (cm *CacheManager) Compute(popularity map[string]float64) *Config {
 func (cm *CacheManager) compute(popularity map[string]float64) (*Config, int) {
 	plan := cm.regions.planner()
 	peers := cm.Peers()
+	grid := DefaultWeightGrid(cm.params.K)
 	perKey := make(map[string][]Option, len(popularity))
 	for key, pop := range popularity {
 		if pop <= 0 {
@@ -241,7 +232,7 @@ func (cm *CacheManager) compute(popularity map[string]float64) (*Config, int) {
 		// already cheap, so options are valued against the adjusted plan
 		// and the knapsack spends local slots elsewhere.
 		adjusted := adjustPlanForPeers(plan(key), peerResidency(peers, key))
-		opts := GenerateOptions(key, pop, adjusted, cm.params.K, cm.params.WeightGrid, cm.params.CacheLatency)
+		opts := GenerateOptions(key, pop, adjusted, cm.params.K, grid, cm.params.CacheLatency)
 		if len(opts) > 0 {
 			perKey[key] = opts
 		}

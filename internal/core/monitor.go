@@ -15,6 +15,17 @@ const DefaultAlpha = 0.8
 // within a few periods.
 const popularityFloor = 1e-3
 
+// PopularitySource is what the cache manager needs from a request monitor:
+// per-request recording and a per-period popularity snapshot. Monitor is
+// the implementation; tests substitute fakes.
+type PopularitySource interface {
+	// Record notes one client request for the object.
+	Record(key string)
+	// EndPeriod closes the running period and returns the popularity
+	// snapshot to configure the cache from.
+	EndPeriod() map[string]float64
+}
+
 // Monitor is Agar's request monitor (§III-b): it listens to client
 // requests, counts per-object access frequency over the current period, and
 // folds each period's frequencies into an exponentially weighted moving

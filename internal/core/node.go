@@ -30,20 +30,9 @@ type NodeParams struct {
 	Alpha float64
 	// CacheLatency is the local cache access time for option valuation.
 	CacheLatency time.Duration
-	// WeightGrid, Solver and EarlyStop forward to ManagerParams.
-	WeightGrid []int
-	Solver     Solver
-	EarlyStop  int
-	// ApproxMonitor switches the request monitor to the TinyLFU-style
-	// approximate implementation; MaxTrackedKeys bounds its candidate
-	// table (default 1024).
-	ApproxMonitor  bool
-	MaxTrackedKeys int
-	// CacheShards overrides the node cache's shard count (rounded up to a
-	// power of two). Zero picks automatically from the slot count: small
-	// caches stay on one shard so the knapsack configuration is never
-	// perturbed by per-shard eviction, large caches stripe for fan-in.
-	CacheShards int
+	// Solver and EarlyStop forward to ManagerParams.
+	Solver    Solver
+	EarlyStop int
 }
 
 // Node is one region's Agar deployment (§III, Figure 3): the request
@@ -52,7 +41,7 @@ type NodeParams struct {
 // (MaybeReconfigure, for simulated time) or by Run (wall-clock ticker).
 type Node struct {
 	params  NodeParams
-	monitor PopularitySource
+	monitor *Monitor
 	regions *RegionManager
 	manager *CacheManager
 	store   *cache.Cache
@@ -84,24 +73,15 @@ func NewNode(params NodeParams) *Node {
 	if params.ReconfigPeriod <= 0 {
 		params.ReconfigPeriod = 30 * time.Second
 	}
-	shards := params.CacheShards
-	if shards <= 0 {
-		shards = defaultCacheShards(params.CacheBytes / params.ChunkBytes)
-	}
-	store := cache.NewSharded(maxInt64(params.CacheBytes, 1), shards,
+	store := cache.NewSharded(maxInt64(params.CacheBytes, 1),
+		defaultCacheShards(params.CacheBytes/params.ChunkBytes),
 		func() cache.Policy { return cache.NewLRU() })
-	var monitor PopularitySource
-	if params.ApproxMonitor {
-		monitor = NewApproxMonitor(params.Alpha, params.MaxTrackedKeys)
-	} else {
-		monitor = NewMonitor(params.Alpha)
-	}
+	monitor := NewMonitor(params.Alpha)
 	regions := NewRegionManager(params.Region, params.Regions, params.Placement, params.K+params.M)
 	slots := int(params.CacheBytes / params.ChunkBytes)
 	manager := NewCacheManager(ManagerParams{
 		K:            params.K,
 		CacheSlots:   slots,
-		WeightGrid:   params.WeightGrid,
 		CacheLatency: params.CacheLatency,
 		Solver:       params.Solver,
 		EarlyStop:    params.EarlyStop,
@@ -145,15 +125,8 @@ func defaultCacheShards(slots int64) int {
 	return n
 }
 
-// Monitor exposes the node's exact request monitor, or nil when the node
-// runs the approximate one (use Popularity for the common interface).
-func (n *Node) Monitor() *Monitor {
-	m, _ := n.monitor.(*Monitor)
-	return m
-}
-
-// Popularity exposes the node's popularity source.
-func (n *Node) Popularity() PopularitySource { return n.monitor }
+// Monitor exposes the node's request monitor.
+func (n *Node) Monitor() *Monitor { return n.monitor }
 
 // RegionManager exposes the node's region manager.
 func (n *Node) RegionManager() *RegionManager { return n.regions }

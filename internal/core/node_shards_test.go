@@ -22,26 +22,22 @@ func TestDefaultCacheShards(t *testing.T) {
 }
 
 func TestNodeCacheShardWiring(t *testing.T) {
-	mk := func(cacheBytes int64, override int) int {
+	mk := func(cacheBytes int64) int {
 		n := NewNode(NodeParams{
-			Region:      geo.Frankfurt,
-			Regions:     geo.DefaultRegions(),
-			Placement:   geo.NewRoundRobin(geo.DefaultRegions(), false),
-			K:           4,
-			M:           2,
-			CacheBytes:  cacheBytes,
-			ChunkBytes:  1024,
-			CacheShards: override,
+			Region:     geo.Frankfurt,
+			Regions:    geo.DefaultRegions(),
+			Placement:  geo.NewRoundRobin(geo.DefaultRegions(), false),
+			K:          4,
+			M:          2,
+			CacheBytes: cacheBytes,
+			ChunkBytes: 1024,
 		})
 		return n.Cache().ShardCount()
 	}
-	if got := mk(90*1024, 0); got != 1 {
+	if got := mk(90 * 1024); got != 1 {
 		t.Errorf("evaluation-scale cache sharded %d ways, want 1", got)
 	}
-	if got := mk(4096*1024, 0); got != 8 {
+	if got := mk(4096 * 1024); got != 8 {
 		t.Errorf("large cache sharded %d ways, want 8", got)
-	}
-	if got := mk(90*1024, 4); got != 4 {
-		t.Errorf("override ignored: %d shards", got)
 	}
 }

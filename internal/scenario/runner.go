@@ -218,32 +218,17 @@ func compile(spec Spec, epoch time.Time) *compiled {
 // stale-read accounting is always judged against the running arm's own
 // writes.
 func Run(spec Spec, opts Options) (*Report, error) {
-	if err := spec.Validate(); err != nil {
+	d, err := newDeployment(spec, opts)
+	if err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
-	region := geo.Frankfurt
-	if spec.Region != "" {
-		region, _ = geo.ParseRegion(spec.Region)
-	}
-	arms := opts.Arms
+	arms := d.opts.Arms
 	if len(arms) == 0 {
 		c := spec.CacheChunks
 		if c <= 0 {
 			c = 3
 		}
 		arms = DefaultArms(c)
-	}
-
-	params := experiments.DefaultParams()
-	params.NumObjects = spec.objects()
-	params.Seed = opts.Seed
-	if spec.Clients > 0 {
-		params.Clients = spec.Clients
-	}
-	d, err := experiments.NewDeployment(params)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", spec.Name, err)
 	}
 
 	// Cross the cache-policy arms with the spec's blob-store tiers and
@@ -255,12 +240,6 @@ func Run(spec Spec, opts Options) (*Report, error) {
 	// write path pairs phase by phase.
 	tiers, sweep := spec.storeTiers()
 	cohModes, cohSweep := spec.coherenceModes()
-	type armRun struct {
-		strat    experiments.Strategy
-		tier     store.Tier
-		coherent bool
-		label    string
-	}
 	var runs []armRun
 	for _, arm := range arms {
 		for _, tier := range tiers {
@@ -286,22 +265,69 @@ func Run(spec Spec, opts Options) (*Report, error) {
 		if agarIdx < 0 && ar.strat.Kind == experiments.StratAgar {
 			agarIdx = i
 		}
-		results, err := runArm(d, spec, opts, ar.strat, region, ar.tier, ar.coherent)
+		results := make([]ycsb.Result, 0, len(spec.Phases))
+		err := d.playArm(spec, ar, 0, d.opts.OpCap, func(_ int, res ycsb.Result, _, _ time.Time) {
+			results = append(results, res)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q arm %s: %w", spec.Name, ar.label, err)
 		}
 		perArm[i] = results
 	}
-	rep := buildReport(spec, region.String(), labels, agarIdx, perArm, opts)
+	rep := buildReport(spec, d.region.String(), labels, agarIdx, perArm, d.opts)
 	rep.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	return rep, nil
 }
 
-// runArm plays the whole scenario timeline through one policy arm reading
-// over one blob-store tier. For mutating scenarios, coherent selects
-// whether the arm's writes invalidate its caches (the versioned write
-// path) or leave them stale (the unversioned baseline).
-func runArm(d *experiments.Deployment, spec Spec, opts Options, arm experiments.Strategy, region geo.RegionID, tier store.Tier, coherent bool) ([]ycsb.Result, error) {
+// deployment is the loaded simulator every arm of one run shares, with the
+// measured region and the run's defaulted options.
+type deployment struct {
+	*experiments.Deployment
+	region geo.RegionID
+	opts   Options
+}
+
+// newDeployment validates the spec and loads the deployment its arms share.
+func newDeployment(spec Spec, opts Options) (*deployment, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	opts = opts.withDefaults()
+	region := geo.Frankfurt
+	if spec.Region != "" {
+		region, _ = geo.ParseRegion(spec.Region)
+	}
+	params := experiments.DefaultParams()
+	params.NumObjects = spec.objects()
+	params.Seed = opts.Seed
+	if spec.Clients > 0 {
+		params.Clients = spec.Clients
+	}
+	d, err := experiments.NewDeployment(params)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", spec.Name, err)
+	}
+	return &deployment{Deployment: d, region: region, opts: opts}, nil
+}
+
+// armRun is one pass over a spec's timeline: a cache policy reading over
+// one blob-store tier, with writes that invalidate its caches (coherent)
+// or leave them stale.
+type armRun struct {
+	strat    experiments.Strategy
+	tier     store.Tier
+	coherent bool
+	label    string
+}
+
+// playArm plays the whole scenario timeline through one arm and hands each
+// measured window to measured, with the measurement epoch and the window's
+// end on the virtual clock. Every phase is sliced into windows of every
+// (the whole phase when zero) capped at ops operations. A phase always
+// plays at least one window, so an arm yields a result for every phase
+// even when the previous phase's last operation overshot this one's end.
+func (d *deployment) playArm(spec Spec, ar armRun, every time.Duration, ops int, measured func(phase int, res ycsb.Result, epoch, end time.Time)) error {
+	opts, region := d.opts, d.region
 	cacheMB := spec.CacheMB
 	if cacheMB <= 0 {
 		cacheMB = 10
@@ -316,7 +342,7 @@ func runArm(d *experiments.Deployment, spec Spec, opts Options, arm experiments.
 	// ceiling that charges paper-scale chunk transfers on every link. The
 	// mem baseline configures nothing, so its runs (and their jitter
 	// streams) stay bit-exact with pre-tier scenarios.
-	if !tier.Baseline() {
+	if tier := ar.tier; !tier.Baseline() {
 		env.StoreLatency = tier.Latency
 		env.StoreErrRate = tier.ErrRate
 		if tier.BandwidthBps > 0 {
@@ -329,9 +355,9 @@ func runArm(d *experiments.Deployment, spec Spec, opts Options, arm experiments.
 	if env.ChunkBytes == 0 && spec.hasBandwidthCaps() {
 		env.ChunkBytes = d.PaperChunkBytes()
 	}
-	reader, node, err := d.NewReader(arm, env, region, cacheMB, opts.Seed)
+	reader, node, err := d.NewReader(ar.strat, env, region, cacheMB, opts.Seed)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Cooperative peers (§VI): each peer region runs its own Agar node on
@@ -349,9 +375,9 @@ func runArm(d *experiments.Deployment, spec Spec, opts Options, arm experiments.
 	if node != nil {
 		for i, name := range spec.PeerRegions {
 			pr, _ := geo.ParseRegion(name)
-			peerReader, peerNode, err := d.NewReader(arm, env, pr, cacheMB, opts.Seed+7001+int64(i))
+			peerReader, peerNode, err := d.NewReader(ar.strat, env, pr, cacheMB, opts.Seed+7001+int64(i))
 			if err != nil {
-				return nil, fmt.Errorf("peer %s: %w", name, err)
+				return fmt.Errorf("peer %s: %w", name, err)
 			}
 			node.AddPeer(pr, peerNode.Cache(), d.Matrix.Get(region, pr))
 			peerNode.AddPeer(region, node.Cache(), d.Matrix.Get(pr, region))
@@ -365,12 +391,13 @@ func runArm(d *experiments.Deployment, spec Spec, opts Options, arm experiments.
 	// simulator's stand-in for the versioned write path's floors and
 	// digest-borne invalidations; uncoherent runs leave caches to serve
 	// whatever they hold.
+	cached := armCache(reader, node)
 	var mut *mutator
 	if spec.hasUpdates() {
 		var invs []client.Invalidator
-		if coherent {
-			if c := armCache(reader, node); c != nil {
-				invs = append(invs, c)
+		if ar.coherent {
+			if cached != nil {
+				invs = append(invs, cached)
 			}
 			for _, p := range peers {
 				invs = append(invs, p.node.Cache())
@@ -417,7 +444,7 @@ func runArm(d *experiments.Deployment, spec Spec, opts Options, arm experiments.
 			Clients:    clients,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("warm-up: %w", err)
+			return fmt.Errorf("warm-up: %w", err)
 		}
 	}
 
@@ -428,18 +455,26 @@ func runArm(d *experiments.Deployment, spec Spec, opts Options, arm experiments.
 	sampler.SetChaos(clock, comp.schedule)
 	defer sampler.SetChaos(nil, nil)
 
-	clearCache := cacheClearer(reader, node)
+	// crash fires a compiled cache-crash event once, emptying the arm's
+	// cache (cacheless arms have nothing to lose).
+	crash := func(c *crashAction) {
+		if !c.fired {
+			c.fired = true
+			if cached != nil {
+				cached.Clear()
+			}
+		}
+	}
 
-	results := make([]ycsb.Result, 0, len(spec.Phases))
 	var elapsed time.Duration
 	for i, p := range spec.Phases {
 		warmPeers(i, p.Workload)
-		// Deadlines anchor to the epoch, exactly like the compiled event
+		// Phase ends anchor to the epoch, exactly like the compiled event
 		// windows: a phase whose last operation overshoots its boundary
 		// starts the next phase late, but the overshoot never accumulates
 		// and event windows stay aligned with phase boundaries.
 		elapsed += p.Duration
-		deadline := epoch.Add(elapsed)
+		phaseEnd := epoch.Add(elapsed)
 		var gen workload.Generator = p.Workload.generator(n, opts.Seed+int64(i)*1009+7)
 		if len(comp.flash[i]) > 0 {
 			gen = &flashGen{
@@ -455,63 +490,56 @@ func runArm(d *experiments.Deployment, spec Spec, opts Options, arm experiments.
 			beforeOp = func(now time.Time) {
 				off := now.Sub(epoch)
 				for _, c := range crashes {
-					if !c.fired && off >= c.at {
-						c.fired = true
-						if clearCache != nil {
-							clearCache()
-						}
+					if off >= c.at {
+						crash(c)
 					}
 				}
 			}
 		}
-		runCfg := ycsb.RunConfig{
-			Reader:     reader,
-			Generator:  gen,
-			Operations: opts.OpCap,
-			Clock:      clock,
-			Node:       node,
-			Clients:    clients,
-			Deadline:   deadline,
-			BeforeOp:   beforeOp,
-		}
-		if mut != nil {
-			runCfg.UpdateFrac = p.Updates
-			runCfg.RMWFrac = p.RMW
-			runCfg.Update = mut.update
-			runCfg.Verify = mut.verify
-			runCfg.MixSeed = opts.Seed + int64(i)*389 + 23
-		}
-		res, err := ycsb.Run(runCfg)
-		if err != nil {
-			return nil, fmt.Errorf("phase %q: %w", p.Name, err)
-		}
-		// If the op cap ended the phase early, jump to the phase boundary so
-		// later phases see their event windows at the declared offsets.
-		if now := clock.Now(); now.Before(deadline) {
-			clock.Advance(deadline.Sub(now))
+		for {
+			end := phaseEnd
+			if next := clock.Now().Add(every); every > 0 && next.Before(end) {
+				end = next
+			}
+			runCfg := ycsb.RunConfig{
+				Reader:     reader,
+				Generator:  gen,
+				Operations: ops,
+				Clock:      clock,
+				Node:       node,
+				Clients:    clients,
+				Deadline:   end,
+				BeforeOp:   beforeOp,
+			}
+			if mut != nil {
+				runCfg.UpdateFrac = p.Updates
+				runCfg.RMWFrac = p.RMW
+				runCfg.Update = mut.update
+				runCfg.Verify = mut.verify
+				runCfg.MixSeed = opts.Seed + int64(i)*389 + 23
+			}
+			res, err := ycsb.Run(runCfg)
+			if err != nil {
+				return fmt.Errorf("phase %q: %w", p.Name, err)
+			}
+			// If the op cap ended the window early, jump to its end so
+			// windows stay evenly spaced and later event windows arrive at
+			// their declared offsets.
+			if now := clock.Now(); now.Before(end) {
+				clock.Advance(end.Sub(now))
+			}
+			measured(i, res, epoch, clock.Now())
+			if !clock.Now().Before(phaseEnd) {
+				break
+			}
 		}
 		// Fire any timed actions still pending for this phase (scheduled
 		// after the last operation, or inside an op-cap-skipped interval),
 		// so every arm leaves the phase in the same state regardless of its
 		// op rate.
 		for _, c := range comp.crashes[i] {
-			if !c.fired {
-				c.fired = true
-				if clearCache != nil {
-					clearCache()
-				}
-			}
+			crash(c)
 		}
-		results = append(results, res)
-	}
-	return results, nil
-}
-
-// cacheClearer resolves how a cache-crash event empties this arm's cache;
-// nil for arms with no cache (backend).
-func cacheClearer(reader interface{}, node *core.Node) func() {
-	if c := armCache(reader, node); c != nil {
-		return c.Clear
 	}
 	return nil
 }

@@ -2,15 +2,10 @@ package scenario
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
-	"github.com/agardist/agar/internal/client"
 	"github.com/agardist/agar/internal/experiments"
-	"github.com/agardist/agar/internal/geo"
 	"github.com/agardist/agar/internal/monitor"
-	"github.com/agardist/agar/internal/netsim"
-	"github.com/agardist/agar/internal/workload"
 	"github.com/agardist/agar/internal/ycsb"
 )
 
@@ -173,27 +168,19 @@ func stripEvents(spec Spec) Spec {
 
 // RunSoak plays the soak's two arms and assembles the report. Both arms
 // share one loaded deployment (like Run) and replay identical seeded
-// workloads, so their sample series pair window by window.
+// workloads, so their sample series pair window by window. A soak plays
+// one tier in one coherence mode: specs that sweep several store tiers or
+// pair coherence modes are refused.
 func RunSoak(s SoakSpec, opts Options) (*SoakReport, error) {
 	s = s.withDefaults()
-	if err := s.Spec.Validate(); err != nil {
+	d, err := newDeployment(s.Spec, opts)
+	if err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
-	region := geo.Frankfurt
-	if s.Spec.Region != "" {
-		region, _ = geo.ParseRegion(s.Spec.Region)
-	}
-
-	params := experiments.DefaultParams()
-	params.NumObjects = s.Spec.objects()
-	params.Seed = opts.Seed
-	if s.Spec.Clients > 0 {
-		params.Clients = s.Spec.Clients
-	}
-	d, err := experiments.NewDeployment(params)
-	if err != nil {
-		return nil, fmt.Errorf("soak %q: %w", s.Spec.Name, err)
+	tiers, _ := s.Spec.storeTiers()
+	modes, paired := s.Spec.coherenceModes()
+	if len(tiers) > 1 || paired {
+		return nil, fmt.Errorf("soak %q: a soak plays one store tier in one coherence mode; sweep tiers or pair coherence with Run", s.Spec.Name)
 	}
 
 	start := time.Now()
@@ -201,11 +188,11 @@ func RunSoak(s SoakSpec, opts Options) (*SoakReport, error) {
 		Schema:        SoakSchema,
 		Name:          s.Spec.Name,
 		Description:   s.Spec.Description,
-		Region:        region.String(),
+		Region:        d.region.String(),
 		VirtualMS:     float64(s.Spec.TotalDuration()) / float64(time.Millisecond),
 		SampleEveryMS: float64(s.SampleEvery) / float64(time.Millisecond),
 		OpsPerSample:  s.OpsPerSample,
-		Seed:          opts.Seed,
+		Seed:          d.opts.Seed,
 		Rules:         s.Rules,
 	}
 	arms := []struct {
@@ -216,196 +203,75 @@ func RunSoak(s SoakSpec, opts Options) (*SoakReport, error) {
 		{"brownout", s.Spec},
 	}
 	for _, arm := range arms {
-		ar, err := soakArm(d, arm.spec, s, opts, arm.name, region)
+		ar := armRun{strat: experiments.Strategy{Kind: experiments.StratAgar}, tier: tiers[0], coherent: modes[0], label: arm.name}
+		a, err := soakArm(d, arm.spec, s, ar)
 		if err != nil {
 			return nil, fmt.Errorf("soak %q arm %s: %w", s.Spec.Name, arm.name, err)
 		}
-		rep.Arms = append(rep.Arms, *ar)
+		rep.Arms = append(rep.Arms, a)
 	}
 	rep.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	return rep, nil
 }
 
-// soakArm plays one arm's timeline in sample-window slices, feeding each
-// window's aggregates through the arm's own monitor store and evaluator.
-func soakArm(d *experiments.Deployment, spec Spec, s SoakSpec, opts Options, armName string, region geo.RegionID) (*SoakArmReport, error) {
-	cacheMB := spec.CacheMB
-	if cacheMB <= 0 {
-		cacheMB = 10
-	}
-	clients := d.Params.Clients
-
-	clock := netsim.NewVirtualClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	sampler := netsim.NewSampler(d.Matrix, d.Params.Jitter, opts.Seed)
-	env := d.Env(sampler)
-	tiers, _ := spec.storeTiers()
-	tier := tiers[0]
-	if !tier.Baseline() {
-		env.StoreLatency = tier.Latency
-		env.StoreErrRate = tier.ErrRate
-		if tier.BandwidthBps > 0 {
-			env.ChunkBytes = d.PaperChunkBytes()
-			sampler.CapBandwidth(netsim.AnyRegion, netsim.AnyRegion, tier.BandwidthBps)
-		}
-	}
-	if env.ChunkBytes == 0 && spec.hasBandwidthCaps() {
-		env.ChunkBytes = d.PaperChunkBytes()
-	}
-	arm := experiments.Strategy{Kind: experiments.StratAgar}
-	reader, node, err := d.NewReader(arm, env, region, cacheMB, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-
-	n := spec.objects()
-	if opts.WarmupOps > 0 {
-		if _, err := ycsb.Run(ycsb.RunConfig{
-			Reader:     reader,
-			Generator:  spec.Phases[0].Workload.generator(n, opts.Seed+101),
-			Operations: opts.WarmupOps,
-			Clock:      clock,
-			Node:       node,
-			Clients:    clients,
-		}); err != nil {
-			return nil, fmt.Errorf("warm-up: %w", err)
-		}
-	}
-
-	epoch := clock.Now()
-	comp := compile(spec, epoch)
-	sampler.SetChaos(clock, comp.schedule)
-	defer sampler.SetChaos(nil, nil)
-	clearCache := cacheClearer(reader, node)
-
-	// Mutating soaks get the same write path as scenario runs: coherent
-	// (invalidating) unless the spec opts out, with stale reads judged
-	// against the arm's own writes.
-	var mut *mutator
-	if spec.hasUpdates() {
-		var invs []client.Invalidator
-		if spec.Coherence != CoherenceNone {
-			if c := armCache(reader, node); c != nil {
-				invs = append(invs, c)
-			}
-		}
-		mut = newMutator(env, region, d.Params.ObjectBytes, invs...)
-	}
-
-	// The arm's monitor side: a store sized to hold every sample of the
-	// whole soak, and an evaluator replaying the rule set at each window.
+// soakArm plays one arm's timeline in sample windows, feeding each window's
+// aggregates through the arm's own monitor store and evaluator as it ends
+// and the whole series through the drift checks after the last one.
+func soakArm(d *deployment, spec Spec, s SoakSpec, ar armRun) (SoakArmReport, error) {
+	// A store sized to hold every sample of the whole soak, and an
+	// evaluator replaying the rule set at each window.
 	slices := int(spec.TotalDuration()/s.SampleEvery) + len(spec.Phases) + 8
 	store := monitor.NewStore(slices)
 	eval := monitor.NewEvaluator(store, s.Rules)
-	labels := map[string]string{"arm": armName}
+	labels := map[string]string{"arm": ar.label}
+	mutating := spec.hasUpdates()
 
-	report := &SoakArmReport{Arm: armName}
-	var elapsed time.Duration
-	for i, p := range spec.Phases {
-		phaseEnd := epoch.Add(elapsed + p.Duration)
-		elapsed += p.Duration
-		var gen workload.Generator = p.Workload.generator(n, opts.Seed+int64(i)*1009+7)
-		if len(comp.flash[i]) > 0 {
-			gen = &flashGen{
-				clock:   clock,
-				epoch:   epoch,
-				base:    gen,
-				windows: comp.flash[i],
-				rng:     rand.New(rand.NewSource(opts.Seed + int64(i)*31 + 13)),
+	report := SoakArmReport{Arm: ar.label}
+	var epoch, last time.Time
+	err := d.playArm(spec, ar, s.SampleEvery, s.OpsPerSample, func(phase int, res ycsb.Result, start, t time.Time) {
+		epoch, last = start, t
+		// A window the previous phase's last operation overshot whole
+		// measured nothing: it has no aggregates, and the rules see no data
+		// for it rather than zero latencies.
+		if res.Operations == 0 {
+			return
+		}
+		errRate := float64(res.Errors) / float64(res.Operations)
+		store.Append(MetricSoakHitRatio, labels, t, res.HitRatio())
+		store.Append(MetricSoakReadMeanMS, labels, t, float64(res.Mean)/float64(time.Millisecond))
+		store.Append(MetricSoakReadP99MS, labels, t, float64(res.P99)/float64(time.Millisecond))
+		store.Append(MetricSoakErrorRate, labels, t, errRate)
+		writeP99MS := 0.0
+		if mutating {
+			writeP99MS = float64(res.UpdateP99) / float64(time.Millisecond)
+			store.Append(MetricSoakStaleReads, labels, t, float64(res.StaleReads))
+			store.Append(MetricSoakWriteP99MS, labels, t, writeP99MS)
+		}
+		off := float64(t.Sub(epoch)) / float64(time.Millisecond)
+		for _, a := range eval.Eval(t) {
+			report.Alerts = append(report.Alerts, SoakAlert{Rule: a.Rule, State: string(a.State), OffsetMS: off, Value: a.Value})
+			if a.State == monitor.StateFiring {
+				report.FiringCount++
 			}
 		}
-		var beforeOp func(time.Time)
-		if crashes := comp.crashes[i]; len(crashes) > 0 {
-			beforeOp = func(now time.Time) {
-				off := now.Sub(epoch)
-				for _, c := range crashes {
-					if !c.fired && off >= c.at {
-						c.fired = true
-						if clearCache != nil {
-							clearCache()
-						}
-					}
-				}
-			}
-		}
-		for clock.Now().Before(phaseEnd) {
-			sliceEnd := clock.Now().Add(s.SampleEvery)
-			if sliceEnd.After(phaseEnd) {
-				sliceEnd = phaseEnd
-			}
-			runCfg := ycsb.RunConfig{
-				Reader:     reader,
-				Generator:  gen,
-				Operations: s.OpsPerSample,
-				Clock:      clock,
-				Node:       node,
-				Clients:    clients,
-				Deadline:   sliceEnd,
-				BeforeOp:   beforeOp,
-			}
-			if mut != nil {
-				runCfg.UpdateFrac = p.Updates
-				runCfg.RMWFrac = p.RMW
-				runCfg.Update = mut.update
-				runCfg.Verify = mut.verify
-				runCfg.MixSeed = opts.Seed + int64(i)*389 + 23
-			}
-			res, err := ycsb.Run(runCfg)
-			if err != nil {
-				return nil, fmt.Errorf("phase %q: %w", p.Name, err)
-			}
-			// The op cap may end the window early; jump to its boundary so
-			// sample timestamps stay evenly spaced and later event windows
-			// arrive on schedule.
-			if now := clock.Now(); now.Before(sliceEnd) {
-				clock.Advance(sliceEnd.Sub(now))
-			}
-			t := clock.Now()
-			errRate := 0.0
-			if res.Operations > 0 {
-				errRate = float64(res.Errors) / float64(res.Operations)
-			}
-			store.Append(MetricSoakHitRatio, labels, t, res.HitRatio())
-			store.Append(MetricSoakReadMeanMS, labels, t, float64(res.Mean)/float64(time.Millisecond))
-			store.Append(MetricSoakReadP99MS, labels, t, float64(res.P99)/float64(time.Millisecond))
-			store.Append(MetricSoakErrorRate, labels, t, errRate)
-			writeP99MS := 0.0
-			if mut != nil {
-				writeP99MS = float64(res.UpdateP99) / float64(time.Millisecond)
-				store.Append(MetricSoakStaleReads, labels, t, float64(res.StaleReads))
-				store.Append(MetricSoakWriteP99MS, labels, t, writeP99MS)
-			}
-			off := float64(t.Sub(epoch)) / float64(time.Millisecond)
-			for _, a := range eval.Eval(t) {
-				sa := SoakAlert{Rule: a.Rule, State: string(a.State), OffsetMS: off, Value: a.Value}
-				report.Alerts = append(report.Alerts, sa)
-				if a.State == monitor.StateFiring {
-					report.FiringCount++
-				}
-			}
-			report.Samples = append(report.Samples, SoakSample{
-				OffsetMS:   off,
-				Phase:      p.Name,
-				Ops:        res.Operations,
-				HitRatio:   res.HitRatio(),
-				MeanMS:     float64(res.Mean) / float64(time.Millisecond),
-				P99MS:      float64(res.P99) / float64(time.Millisecond),
-				ErrorRate:  errRate,
-				Updates:    res.Updates,
-				StaleReads: res.StaleReads,
-				WriteP99MS: writeP99MS,
-			})
-			report.TotalOps += res.Operations
-		}
-		for _, c := range comp.crashes[i] {
-			if !c.fired {
-				c.fired = true
-				if clearCache != nil {
-					clearCache()
-				}
-			}
-		}
+		report.Samples = append(report.Samples, SoakSample{
+			OffsetMS:   off,
+			Phase:      spec.Phases[phase].Name,
+			Ops:        res.Operations,
+			HitRatio:   res.HitRatio(),
+			MeanMS:     float64(res.Mean) / float64(time.Millisecond),
+			P99MS:      float64(res.P99) / float64(time.Millisecond),
+			ErrorRate:  errRate,
+			Updates:    res.Updates,
+			StaleReads: res.StaleReads,
+			WriteP99MS: writeP99MS,
+		})
+		report.TotalOps += res.Operations
+	})
+	if err != nil {
+		return SoakArmReport{}, err
 	}
-	report.Drift = monitor.DetectDrift(store, s.Drift, epoch, clock.Now())
+	report.Drift = monitor.DetectDrift(store, s.Drift, epoch, last)
 	for _, f := range report.Drift {
 		if f.Flagged {
 			report.DriftFlagged++
