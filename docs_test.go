@@ -230,3 +230,157 @@ func TestDocsSuiteExists(t *testing.T) {
 		}
 	}
 }
+
+// testOnlyExportKinds are the reasons an exported internal/ declaration
+// may have no caller outside tests. Every testOnlyExports entry starts
+// with one of them.
+var testOnlyExportKinds = []string{
+	"test observation point",
+	"reference oracle",
+	"interface method",
+	"test constructor",
+}
+
+// testOnlyExports lists the exported internal/ declarations that only
+// tests name, keyed pkg.Name (pkg.Type.Method for methods), each with the
+// reason it stays.
+var testOnlyExports = map[string]string{
+	"backend.Store.Down":                "test observation point: tests read the injected region-failure flag",
+	"cache.Cache.ShardIndex":            "test observation point: server tests check their keys cover every stripe",
+	"client.Result.Hit":                 "test observation point: the Figure 7 hit definition the reader tests assert",
+	"client.Writer.AddInvalidator":      "test constructor: wires a cache into a writer after construction",
+	"coop.Advertiser.DeltaPushes":       "test observation point: tests check a push travelled as a delta",
+	"core.CacheManager.Compute":         "test observation point: the planning core without touching the cache",
+	"core.Monitor.Requests":             "test observation point: the monitor's request count",
+	"core.Monitor.CurrentFrequency":     "test observation point: a key's access count in the running period",
+	"core.Monitor.TopKeys":              "test observation point: the monitor's popularity ranking",
+	"core.PaperWeightGrid":              "test constructor: the §IV-A example's odd weight grid, one of the grids bench_test.go solves over",
+	"core.NewOptionSet":                 "test constructor: builds option sets for solver tests and benchmarks",
+	"core.RegionManager.Estimate":       "test observation point: a region's current latency estimate",
+	"core.RegionManager.Plan":           "test observation point: the fetch plan the current estimates give",
+	"core.ExactMCKP":                    "reference oracle: the exact knapsack optimum POPULATE and greedy are checked against",
+	"geo.FetchPlan.MaxLatencyExcluding": "reference oracle: the §IV-A set formulation GenerateOptions is checked against",
+	"gf256.Exp":                         "test observation point: exposes the exp table the field tests check exhaustively",
+	"gf256.Log":                         "test observation point: exposes the log table the field tests check exhaustively",
+	"hlc.Timestamp.Wall":                "test observation point: a timestamp's physical component as a time",
+	"hlc.NewAt":                         "test constructor: a clock on an injected physical source",
+	"hlc.Clock.Last":                    "test observation point: the last issued timestamp without advancing",
+	"live.RemoteHinter.HintMulti":       "test observation point: the only client of the served OpMHint op, driven end to end by its test",
+	"live.Server.PoolOutstanding":       "test observation point: the pooled-buffer leak check",
+	"live.NewStoreServer":               "test constructor: a store server with default options",
+	"live.NewCacheServer":               "test constructor: a cache server with default options",
+	"matrix.FromRows":                   "test constructor: a matrix from literal rows",
+	"matrix.Matrix.Cols":                "test observation point: a matrix's column count",
+	"matrix.Matrix.IsIdentity":          "reference oracle: checks m·m⁻¹ in the inversion tests",
+	"metrics.Registry.NewCounter":       "test constructor: an unlabelled counter for registry tests",
+	"metrics.Registry.NewHistogram":     "test constructor: an unlabelled histogram for registry tests",
+	"monitor.Health.ServeHTTP":          "interface method: http.Handler",
+	"store.Chaos.Injected":              "test observation point: how many faults the chaos wrapper injected",
+	"trace.ParseID":                     "reference oracle: the inverse of ID.String the round-trip tests check",
+	"workload.Zipfian.Weights":          "reference oracle: the analytic key probabilities the sampling tests check against",
+	"workload.NewSequential":            "test constructor: a deterministic key stream for workload and YCSB tests",
+}
+
+// TestDocsNoTestOnlyExports fails on an exported top-level declaration in
+// internal/ whose name no non-test Go file of the repository (benchmark/
+// included) uses as an identifier anywhere but at a top-level declaration:
+// code only tests can reach. The match is by name, so a name shared with a
+// live declaration elsewhere hides a dead one; comments do not count as a
+// use. It also fails on an allowlist entry that flags nothing, so the list
+// cannot outlive what it excuses.
+func TestDocsNoTestOnlyExports(t *testing.T) {
+	type decl struct {
+		key string
+		id  *ast.Ident
+	}
+	fset := token.NewFileSet()
+	var decls []decl
+	declIdents := map[*ast.Ident]bool{}
+	var files []*ast.File
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, f)
+		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
+		add := func(id *ast.Ident, key string) {
+			declIdents[id] = true
+			if internal && id.IsExported() {
+				decls = append(decls, decl{f.Name.Name + "." + key, id})
+			}
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				key := d.Name.Name
+				if d.Recv != nil {
+					recv := d.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					key = recv.(*ast.Ident).Name + "." + key
+				}
+				add(d.Name, key)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						add(s.Name, s.Name.Name)
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							add(n, n.Name)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declIdents[id] {
+				used[id.Name] = true
+			}
+			return true
+		})
+	}
+	flagged := map[string]bool{}
+	for _, d := range decls {
+		if used[d.id.Name] {
+			continue
+		}
+		flagged[d.key] = true
+		if _, ok := testOnlyExports[d.key]; !ok {
+			t.Errorf("%s: %s is exported but no non-test file uses it: delete it, or allowlist it in testOnlyExports with a reason", fset.Position(d.id.Pos()), d.key)
+		}
+	}
+	for key, why := range testOnlyExports {
+		if !flagged[key] {
+			t.Errorf("testOnlyExports entry %s matches no test-only export: remove it", key)
+		}
+		stated := false
+		for _, kind := range testOnlyExportKinds {
+			stated = stated || strings.HasPrefix(why, kind+": ")
+		}
+		if !stated {
+			t.Errorf("testOnlyExports entry %s: reason %q must start with one of %q and a colon", key, why, testOnlyExportKinds)
+		}
+	}
+}

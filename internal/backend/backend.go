@@ -69,9 +69,6 @@ func NewStoreOn(region geo.RegionID, blob store.BlobStore) *Store {
 // Region returns the region this bucket lives in.
 func (s *Store) Region() geo.RegionID { return s.region }
 
-// Blob exposes the underlying adapter (for tests and tools).
-func (s *Store) Blob() store.BlobStore { return s.blob }
-
 // isDown reports the injected-failure flag.
 func (s *Store) isDown() bool {
 	s.mu.RLock()

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/agardist/agar/internal/geo"
 	"github.com/agardist/agar/internal/store"
 )
 
@@ -262,65 +261,4 @@ func (s *Store) DeleteObjectVer(key string, ver uint64) (bool, error) {
 	}
 	vc.mu.Unlock()
 	return true, nil
-}
-
-// PutObjectVer encodes the object and writes each chunk to its placed
-// region at the given write version, grouping chunks per region so each
-// store raises its version record once.
-func (c *Cluster) PutObjectVer(key string, data []byte, ver uint64) error {
-	chunks, err := c.codec.Split(data)
-	if err != nil {
-		return fmt.Errorf("backend: encode %q: %w", key, err)
-	}
-	locs := c.placement.Locate(key, len(chunks))
-	byRegion := make(map[geo.RegionID]map[int][]byte)
-	for i, chunk := range chunks {
-		st := c.stores[locs[i]]
-		if st == nil {
-			return fmt.Errorf("backend: placement names unknown region %v", locs[i])
-		}
-		m := byRegion[locs[i]]
-		if m == nil {
-			m = make(map[int][]byte)
-			byRegion[locs[i]] = m
-		}
-		m[i] = chunk
-	}
-	for region, group := range byRegion {
-		if err := c.stores[region].PutMultiVer(key, group, ver); err != nil {
-			return fmt.Errorf("backend: store chunks of %q in %v: %w", key, region, err)
-		}
-	}
-	return nil
-}
-
-// VersionOf returns the highest version floor any region records for the
-// key — the cluster-wide view of its latest committed write.
-func (c *Cluster) VersionOf(key string) (uint64, error) {
-	var max uint64
-	for _, s := range c.stores {
-		ver, err := s.VersionOf(key)
-		if err != nil {
-			return 0, err
-		}
-		if ver > max {
-			max = ver
-		}
-	}
-	return max, nil
-}
-
-// DeleteObjectVer removes the object's chunks from every region and
-// records ver as the tombstone floor in each. It reports whether any
-// region held chunks.
-func (c *Cluster) DeleteObjectVer(key string, ver uint64) (bool, error) {
-	any := false
-	for _, s := range c.stores {
-		ok, err := s.DeleteObjectVer(key, ver)
-		if err != nil {
-			return any, err
-		}
-		any = any || ok
-	}
-	return any, nil
 }

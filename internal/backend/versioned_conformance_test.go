@@ -207,51 +207,3 @@ func TestVersionedInvalidationSurvivesReopen(t *testing.T) {
 		})
 	}
 }
-
-// TestClusterPutObjectVer drives the cluster-level versioned write across
-// regions: every region's floor rises to the write version and the object
-// decodes back intact through the versioned read path.
-func TestClusterPutObjectVer(t *testing.T) {
-	c := newTestCluster(t)
-	payload := bytes.Repeat([]byte("agar-versioned!"), 64)
-	v1 := uint64(hlc.Pack(1000, 0))
-	if err := c.PutObjectVer("obj", payload, v1); err != nil {
-		t.Fatal(err)
-	}
-	if ver, err := c.VersionOf("obj"); err != nil || ver != v1 {
-		t.Fatalf("cluster VersionOf = %d, %v", ver, err)
-	}
-
-	// Every placed chunk reads back at the write version.
-	total := c.Codec().Total()
-	locs := c.Placement().Locate("obj", total)
-	chunks := make([][]byte, total)
-	for i := 0; i < total; i++ {
-		data, ver, err := c.Store(locs[i]).GetVer(ChunkID{Key: "obj", Index: i})
-		if err != nil || ver != v1 {
-			t.Fatalf("chunk %d: v%d, %v", i, ver, err)
-		}
-		chunks[i] = data
-	}
-	decoded, err := c.Codec().Decode(chunks)
-	if err != nil || !bytes.Equal(decoded, payload) {
-		t.Fatalf("decode after versioned put: %v", err)
-	}
-
-	// A cluster-wide stale write is refused by the first region it hits.
-	if err := c.PutObjectVer("obj", payload, uint64(hlc.Pack(500, 0))); !errors.Is(err, ErrStale) {
-		t.Fatalf("stale cluster put: %v", err)
-	}
-
-	// Versioned delete tombstones every region.
-	vDel := uint64(hlc.Pack(2000, 0))
-	if _, err := c.DeleteObjectVer("obj", vDel); err != nil {
-		t.Fatal(err)
-	}
-	if ver, err := c.VersionOf("obj"); err != nil || ver != vDel {
-		t.Fatalf("cluster tombstone = %d, %v", ver, err)
-	}
-	if _, err := c.GetObject("obj"); err == nil {
-		t.Fatal("object survived versioned delete")
-	}
-}

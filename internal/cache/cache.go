@@ -278,31 +278,14 @@ func (c *Cache) Get(id EntryID) ([]byte, error) {
 	return out, nil
 }
 
-// GetAppend appends the chunk's bytes to dst and reports whether the chunk
-// was resident, counting the lookup exactly like Get. The copy happens
-// under the shard lock into caller-owned storage, so a batched read can
-// collect every found chunk into one reusable buffer instead of allocating
-// per chunk — the cache server's pooled mget reply path. The returned
-// slice is dst extended (reallocated by append when dst lacks capacity);
-// on a miss dst is returned unchanged.
-func (c *Cache) GetAppend(id EntryID, dst []byte) ([]byte, bool) {
-	s := c.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.gets.Add(1)
-	e, ok := s.entries[id]
-	if !ok {
-		return dst, false
-	}
-	s.stats.hits.Add(1)
-	s.policy.Accessed(e)
-	return append(dst, e.data...), true
-}
-
-// GetAppendVer is GetAppend plus the chunk's stored version: it appends
-// the chunk's bytes to dst and returns the extended slice, the chunk's
-// write version (zero for unversioned chunks and on a miss), and whether
-// the chunk was resident. The cache server's versioned mget reply path.
+// GetAppendVer appends the chunk's bytes to dst and returns the extended
+// slice, the chunk's write version (zero for unversioned chunks and on a
+// miss), and whether the chunk was resident, counting the lookup exactly
+// like Get. The copy happens under the shard lock into caller-owned
+// storage, so a batched read can collect every found chunk into one
+// reusable buffer instead of allocating per chunk — the cache server's
+// pooled mget reply path. The returned slice is dst extended (reallocated
+// by append when dst lacks capacity); on a miss dst is returned unchanged.
 func (c *Cache) GetAppendVer(id EntryID, dst []byte) ([]byte, uint64, bool) {
 	s := c.shardFor(id)
 	s.mu.Lock()

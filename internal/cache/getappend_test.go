@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestGetAppend: hits append into the caller's buffer and count exactly
-// like Get; misses leave the buffer untouched and count a get without a
-// hit. Consecutive appends into one buffer must concatenate — the pooled
+// TestGetAppend: GetAppendVer hits append into the caller's buffer and
+// count exactly like Get; misses leave the buffer untouched and count a get
+// without a hit. Consecutive appends into one buffer must concatenate — the pooled
 // mget reply path builds its whole body this way.
 func TestGetAppend(t *testing.T) {
 	c := NewSharded(1<<20, 4, func() Policy { return NewLRU() })
@@ -19,16 +19,16 @@ func TestGetAppend(t *testing.T) {
 	}
 
 	buf := make([]byte, 0, 16)
-	buf, ok := c.GetAppend(EntryID{Key: "k", Index: 0}, buf)
+	buf, _, ok := c.GetAppendVer(EntryID{Key: "k", Index: 0}, buf)
 	if !ok || !bytes.Equal(buf, []byte("aaaa")) {
 		t.Fatalf("first append: ok=%v buf=%q", ok, buf)
 	}
 	base := &buf[0]
-	buf, ok = c.GetAppend(EntryID{Key: "k", Index: 9}, buf)
+	buf, _, ok = c.GetAppendVer(EntryID{Key: "k", Index: 9}, buf)
 	if ok || !bytes.Equal(buf, []byte("aaaa")) {
 		t.Fatalf("miss mutated buffer: ok=%v buf=%q", ok, buf)
 	}
-	buf, ok = c.GetAppend(EntryID{Key: "k", Index: 1}, buf)
+	buf, _, ok = c.GetAppendVer(EntryID{Key: "k", Index: 1}, buf)
 	if !ok || !bytes.Equal(buf, []byte("aaaabb")) {
 		t.Fatalf("second append: ok=%v buf=%q", ok, buf)
 	}
@@ -46,19 +46,19 @@ func TestGetAppend(t *testing.T) {
 	buf[0] = 'Z'
 	got, err := c.Get(EntryID{Key: "k", Index: 0})
 	if err != nil || !bytes.Equal(got, []byte("aaaa")) {
-		t.Fatalf("cached entry corrupted through GetAppend buffer: %q, %v", got, err)
+		t.Fatalf("cached entry corrupted through GetAppendVer buffer: %q, %v", got, err)
 	}
 }
 
-// TestGetAppendKeepsLRUWarm: a GetAppend must refresh recency exactly like
+// TestGetAppendKeepsLRUWarm: a GetAppendVer must refresh recency exactly like
 // Get, or the pooled read path would silently change eviction behaviour.
 func TestGetAppendKeepsLRUWarm(t *testing.T) {
 	c := NewSharded(64, 1, func() Policy { return NewLRU() })
 	c.Put(EntryID{Key: "a", Index: 0}, make([]byte, 24))
 	c.Put(EntryID{Key: "b", Index: 0}, make([]byte, 24))
-	// Touch "a" via GetAppend, then insert something that forces eviction:
-	// "b" (cold) must go, "a" (warm) must stay.
-	if _, ok := c.GetAppend(EntryID{Key: "a", Index: 0}, nil); !ok {
+	// Touch "a" via GetAppendVer, then insert something that forces
+	// eviction: "b" (cold) must go, "a" (warm) must stay.
+	if _, _, ok := c.GetAppendVer(EntryID{Key: "a", Index: 0}, nil); !ok {
 		t.Fatal("warm-up read missed")
 	}
 	c.Put(EntryID{Key: "c", Index: 0}, make([]byte, 24))

@@ -60,21 +60,15 @@ type Digest struct {
 	KeyVers map[string]uint64
 }
 
-// Diff computes the residency changes from prev to cur as a delta group
+// DiffVer computes the residency changes from prev to cur as a delta group
 // set: keys whose index set changed map to their new indices, and keys that
 // vanished map to an empty slice. Index order is ignored; unchanged keys
-// are absent. An empty diff means the snapshots agree.
-func Diff(prev, cur map[string][]int) map[string][]int {
-	changed, _ := DiffVer(prev, cur, nil, nil)
-	return changed
-}
-
-// DiffVer is the version-aware Diff: a key is also "changed" when its
-// advertised version moved even though its index set did not — the
-// invalidate-then-repopulate case, where the same indices now hold newer
-// bytes and a delta that ignored versions would leave peers serving the
-// old floor. It returns the changed group set plus the current versions of
-// every changed key that has one.
+// are absent, and an empty diff means the snapshots agree. A key is also
+// "changed" when its advertised version moved even though its index set
+// did not — the invalidate-then-repopulate case, where the same indices now
+// hold newer bytes and a delta that ignored versions would leave peers
+// serving the old floor. It returns the changed group set plus the current
+// versions of every changed key that has one.
 func DiffVer(prev, cur map[string][]int, prevVers, curVers map[string]uint64) (map[string][]int, map[string]uint64) {
 	changed := make(map[string][]int)
 	for key, idxs := range cur {
@@ -116,16 +110,11 @@ func sameIndexSet(a, b []int) bool {
 	return true
 }
 
-// PaginateDelta splits a delta group set into delta frames of at most
-// MaxDigestKeys keys, all sharing seq and base. An empty change set still
+// PaginateDeltaVer splits a delta group set into delta frames of at most
+// MaxDigestKeys keys, all sharing seq and base, with per-key versions
+// attached to each page (see PaginateVer). An empty change set still
 // produces one empty delta frame: the mirror must observe the new sequence
 // (and refresh its age) even when nothing moved.
-func PaginateDelta(region string, seq, base int64, changes map[string][]int) []Digest {
-	return PaginateDeltaVer(region, seq, base, changes, nil)
-}
-
-// PaginateDeltaVer is PaginateDelta with per-key versions attached to each
-// page (see PaginateVer).
 func PaginateDeltaVer(region string, seq, base int64, changes map[string][]int, vers map[string]uint64) []Digest {
 	full := PaginateVer(region, seq, changes, vers)
 	for i := range full {
@@ -135,18 +124,13 @@ func PaginateDeltaVer(region string, seq, base int64, changes map[string][]int, 
 	return full
 }
 
-// Paginate splits a residency snapshot into digest frames of at most
+// PaginateVer splits a residency snapshot into digest frames of at most
 // MaxDigestKeys keys each, all sharing seq. Keys are emitted in sorted
 // order so frames are deterministic. An empty snapshot still produces one
 // empty frame — receivers must observe the new sequence to drop their
-// stale view.
-func Paginate(region string, seq int64, snapshot map[string][]int) []Digest {
-	return PaginateVer(region, seq, snapshot, nil)
-}
-
-// PaginateVer is Paginate with per-key write versions: each page carries
-// the versions of its own keys (nonzero entries only), so receivers can
-// raise version floors from exactly the frames that mention a key.
+// stale view. Each page carries the write versions of its own keys
+// (nonzero entries only), so receivers can raise version floors from
+// exactly the frames that mention a key.
 func PaginateVer(region string, seq int64, snapshot map[string][]int, vers map[string]uint64) []Digest {
 	keys := make([]string, 0, len(snapshot))
 	for k := range snapshot {

@@ -82,7 +82,7 @@ func TestPaginateSplitsDeterministically(t *testing.T) {
 	for i := 0; i < MaxDigestKeys*2+5; i++ {
 		snap[fmt.Sprintf("key-%04d", i)] = []int{i % 7}
 	}
-	frames := Paginate("fra", 9, snap)
+	frames := PaginateVer("fra", 9, snap, nil)
 	if len(frames) != 3 {
 		t.Fatalf("frames = %d", len(frames))
 	}
@@ -110,7 +110,7 @@ func TestPaginateSplitsDeterministically(t *testing.T) {
 		t.Fatalf("mirror keys = %d", m.Keys())
 	}
 
-	empty := Paginate("fra", 10, nil)
+	empty := PaginateVer("fra", 10, nil, nil)
 	if len(empty) != 1 || len(empty[0].Groups) != 0 {
 		t.Fatalf("empty snapshot frames = %+v", empty)
 	}

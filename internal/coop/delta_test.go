@@ -11,7 +11,7 @@ import (
 func TestDiff(t *testing.T) {
 	prev := map[string][]int{"a": {0, 1}, "b": {2}, "c": {3}}
 	cur := map[string][]int{"a": {1, 0}, "b": {2, 4}, "d": {5}}
-	got := Diff(prev, cur)
+	got, _ := DiffVer(prev, cur, nil, nil)
 	want := map[string][]int{
 		"b": {2, 4}, // changed
 		"d": {5},    // added
@@ -20,7 +20,7 @@ func TestDiff(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Diff = %v, want %v", got, want)
 	}
-	if d := Diff(cur, cur); len(d) != 0 {
+	if d, _ := DiffVer(cur, cur, nil, nil); len(d) != 0 {
 		t.Fatalf("self-diff = %v", d)
 	}
 }
@@ -29,7 +29,7 @@ func TestMirrorApplyDelta(t *testing.T) {
 	m := NewMirror("dublin")
 
 	// A delta against a virgin mirror is rejected: nothing to delta from.
-	if m.ApplyDelta(2, 1, map[string][]int{"a": {0}}) {
+	if m.ApplyDeltaVer(2, 1, map[string][]int{"a": {0}}, nil) {
 		t.Fatal("delta applied to empty mirror")
 	}
 
@@ -37,7 +37,7 @@ func TestMirrorApplyDelta(t *testing.T) {
 		t.Fatal("full digest rejected")
 	}
 	// Delta at the right base: change a, remove b, add c.
-	if !m.ApplyDelta(11, 10, map[string][]int{"a": {1}, "b": {}, "c": {7}}) {
+	if !m.ApplyDeltaVer(11, 10, map[string][]int{"a": {1}, "b": {}, "c": {7}}, nil) {
 		t.Fatal("aligned delta rejected")
 	}
 	if got := m.IndicesOf("a"); !reflect.DeepEqual(got, []int{1}) {
@@ -54,7 +54,7 @@ func TestMirrorApplyDelta(t *testing.T) {
 	}
 
 	// A later page of the same delta snapshot merges.
-	if !m.ApplyDelta(11, 10, map[string][]int{"d": {9}}) {
+	if !m.ApplyDeltaVer(11, 10, map[string][]int{"d": {9}}, nil) {
 		t.Fatal("same-seq delta page rejected")
 	}
 	if got := m.IndicesOf("d"); !reflect.DeepEqual(got, []int{9}) {
@@ -62,29 +62,29 @@ func TestMirrorApplyDelta(t *testing.T) {
 	}
 
 	// Base mismatch (mirror at 11, delta over 10) is rejected outright.
-	if m.ApplyDelta(12, 10, map[string][]int{"a": {}}) {
+	if m.ApplyDeltaVer(12, 10, map[string][]int{"a": {}}, nil) {
 		t.Fatal("misaligned delta applied")
 	}
 	if got := m.IndicesOf("a"); !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("rejected delta mutated the mirror: a = %v", got)
 	}
 	// A same-seq page with no groups is fine; a stale delta is not.
-	if !m.ApplyDelta(11, 10, nil) {
+	if !m.ApplyDeltaVer(11, 10, nil, nil) {
 		t.Fatal("same-seq empty page rejected")
 	}
-	if m.ApplyDelta(9, 8, map[string][]int{"z": {1}}) {
+	if m.ApplyDeltaVer(9, 8, map[string][]int{"z": {1}}, nil) {
 		t.Fatal("stale delta applied")
 	}
 }
 
 func TestPaginateDeltaEmptyStillAdvances(t *testing.T) {
-	frames := PaginateDelta("fra", 5, 4, nil)
+	frames := PaginateDeltaVer("fra", 5, 4, nil, nil)
 	if len(frames) != 1 || !frames[0].Delta || frames[0].Base != 4 || frames[0].Seq != 5 {
 		t.Fatalf("frames = %+v", frames)
 	}
 	m := NewMirror("fra")
 	m.Apply(4, map[string][]int{"a": {0}})
-	if !m.ApplyDelta(frames[0].Seq, frames[0].Base, frames[0].Groups) {
+	if !m.ApplyDeltaVer(frames[0].Seq, frames[0].Base, frames[0].Groups, nil) {
 		t.Fatal("empty delta rejected")
 	}
 	if m.Seq() != 5 {
@@ -109,7 +109,7 @@ func (s *seqTarget) SendDigest(d Digest) error {
 	s.frames = append(s.frames, d)
 	if s.mirror != nil {
 		if d.Delta {
-			if !s.mirror.ApplyDelta(d.Seq, d.Base, d.Groups) {
+			if !s.mirror.ApplyDeltaVer(d.Seq, d.Base, d.Groups, nil) {
 				return errFail
 			}
 		} else if !s.mirror.Apply(d.Seq, d.Groups) {

@@ -93,20 +93,15 @@ func (m *Mirror) ApplyVer(seq int64, groups map[string][]int, keyVers map[string
 	return true
 }
 
-// ApplyDelta folds one delta frame in: groups list only changed keys, an
+// ApplyDeltaVer folds one delta frame in: groups list only changed keys, an
 // empty index list deleting the key. The delta applies only when the
 // mirror sits exactly at base (advancing it to seq) or is already at seq
 // (a later page of the same delta snapshot); any other state — including a
 // mirror that never received a full digest — rejects the frame, and the
-// advertiser's ack check falls it back to a full digest. It reports
-// whether the frame was applied.
-func (m *Mirror) ApplyDelta(seq, base int64, groups map[string][]int) bool {
-	return m.ApplyDeltaVer(seq, base, groups, nil)
-}
-
-// ApplyDeltaVer is ApplyDelta with the frame's per-key write versions:
-// every changed key's version is replaced by what the frame advertises
-// (absent — including an unversioned advertiser's nil map — clears it).
+// advertiser's ack check falls it back to a full digest. Every changed
+// key's version is replaced by what keyVers advertises (absent — including
+// an unversioned advertiser's nil map — clears it). It reports whether the
+// frame was applied.
 func (m *Mirror) ApplyDeltaVer(seq, base int64, groups map[string][]int, keyVers map[string]uint64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -100,25 +100,6 @@ func (t *Table) VersionOf(region, key string) uint64 {
 	return m.VersionOf(key)
 }
 
-// MaxVersionOf returns the highest write version any tracked peer
-// advertises for the key — the mesh-wide freshness bound a reader can
-// demand without a backend round trip.
-func (t *Table) MaxVersionOf(key string) uint64 {
-	t.mu.Lock()
-	mirrors := make([]*Mirror, 0, len(t.mirrors))
-	for _, m := range t.mirrors {
-		mirrors = append(mirrors, m)
-	}
-	t.mu.Unlock()
-	var max uint64
-	for _, m := range mirrors {
-		if v := m.VersionOf(key); v > max {
-			max = v
-		}
-	}
-	return max
-}
-
 // RecordPeerRead accounts one batched read from a remote peer's client:
 // hits chunks were served, misses were advertised-but-gone (or never
 // advertised) chunks the peer will now re-fetch over the WAN.

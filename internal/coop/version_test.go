@@ -128,9 +128,6 @@ func TestAdvertiserVersionDelta(t *testing.T) {
 	if got := table.VersionOf("tokyo", "obj"); got != 250 {
 		t.Fatalf("after delta: %d", got)
 	}
-	if got := table.MaxVersionOf("obj"); got != 250 {
-		t.Fatalf("MaxVersionOf = %d", got)
-	}
 }
 
 // targetFunc adapts a function to the Target interface.

@@ -13,7 +13,6 @@
 package erasure
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -52,7 +51,6 @@ var (
 	ErrTooFewChunks     = errors.New("erasure: fewer than k chunks available")
 	ErrChunkSizeMism    = errors.New("erasure: chunks have inconsistent sizes")
 	ErrShortData        = errors.New("erasure: data too short to carry size header")
-	ErrCorrupt          = errors.New("erasure: chunk set fails parity verification")
 	ErrChunkCount       = errors.New("erasure: wrong number of chunk slots")
 	ErrSizeHeaderBroken = errors.New("erasure: size header larger than reconstructed payload")
 )
@@ -149,7 +147,7 @@ func (c *Codec) ChunkSize(dataLen int) int {
 const headerSize = 8 // uint64 little-endian original length
 
 // Split encodes data into k+m chunks. The original length is recorded in an
-// 8-byte header so Join can strip padding. The input slice is not retained.
+// 8-byte header so Decode can strip padding. The input slice is not retained.
 func (c *Codec) Split(data []byte) ([][]byte, error) {
 	chunkSize := c.ChunkSize(len(data))
 	// Lay out header + data + zero padding across the k data chunks.
@@ -167,78 +165,6 @@ func (c *Codec) Split(data []byte) ([][]byte, error) {
 	}
 	code(c.coding, c.k, chunks[:c.k], chunks[c.k:])
 	return chunks, nil
-}
-
-// Encode fills chunks[k:] with parity computed from chunks[:k]. All chunk
-// slots must be non-nil and of equal size.
-func (c *Codec) Encode(chunks [][]byte) error {
-	if err := c.checkShape(chunks, true); err != nil {
-		return err
-	}
-	code(c.coding, c.k, chunks[:c.k], chunks[c.k:])
-	return nil
-}
-
-// Verify recomputes parity from the data chunks and reports whether the
-// parity chunks match. All chunks must be present.
-func (c *Codec) Verify(chunks [][]byte) (bool, error) {
-	if err := c.checkShape(chunks, true); err != nil {
-		return false, err
-	}
-	size := len(chunks[0])
-	scratch := make([]byte, c.m*size)
-	want := make([][]byte, c.m)
-	for i := range want {
-		want[i] = scratch[i*size : (i+1)*size]
-	}
-	code(c.coding, c.k, chunks[:c.k], want)
-	for i, w := range want {
-		if !bytes.Equal(w, chunks[c.k+i]) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// Reconstruct rebuilds every missing chunk in place. Missing chunks are
-// represented by nil entries; at least k entries must be present. The slice
-// must have exactly k+m entries, indexed by chunk id.
-func (c *Codec) Reconstruct(chunks [][]byte) error {
-	return c.reconstruct(chunks, false)
-}
-
-// ReconstructData rebuilds only the missing data chunks (indices < k),
-// leaving missing parity chunks nil. This is the fast path for reads.
-func (c *Codec) ReconstructData(chunks [][]byte) error {
-	return c.reconstruct(chunks, true)
-}
-
-func (c *Codec) reconstruct(chunks [][]byte, dataOnly bool) error {
-	size, in, dec, err := c.decodePlan(chunks)
-	if err != nil {
-		return err
-	}
-	if dec != nil {
-		code(dec, 0, in, allocMissing(chunks[:c.k], size))
-	}
-	if !dataOnly {
-		// Recompute missing parity from the (now complete) data chunks.
-		code(c.coding, c.k, chunks[:c.k], allocMissing(chunks[c.k:], size))
-	}
-	return nil
-}
-
-// allocMissing allocates every nil chunk and returns the new chunks in
-// their slots, nil elsewhere: the output rows code has to compute.
-func allocMissing(chunks [][]byte, size int) [][]byte {
-	out := make([][]byte, len(chunks))
-	for i, ch := range chunks {
-		if ch == nil {
-			chunks[i] = make([]byte, size)
-			out[i] = chunks[i]
-		}
-	}
-	return out
 }
 
 // decodePlan validates a k+m slot set and returns the chunk size. When a
@@ -313,33 +239,6 @@ func (c *Codec) decodeMatrix(used rowSet) (*matrix.Matrix, error) {
 	return dec, nil
 }
 
-// Join reassembles the original object from a fully reconstructed chunk set
-// (all data chunks non-nil). It validates and strips the length header.
-func (c *Codec) Join(chunks [][]byte) ([]byte, error) {
-	if len(chunks) != c.Total() {
-		return nil, ErrChunkCount
-	}
-	size := -1
-	for i := 0; i < c.k; i++ {
-		if chunks[i] == nil {
-			return nil, ErrTooFewChunks
-		}
-		if size == -1 {
-			size = len(chunks[i])
-		} else if len(chunks[i]) != size {
-			return nil, ErrChunkSizeMism
-		}
-	}
-	if size*c.k < headerSize {
-		return nil, ErrShortData
-	}
-	buf := make([]byte, 0, size*c.k)
-	for i := 0; i < c.k; i++ {
-		buf = append(buf, chunks[i]...)
-	}
-	return stripHeader(buf)
-}
-
 // stripHeader validates the length header of the concatenated data chunks
 // and returns the payload it frames.
 func stripHeader(buf []byte) ([]byte, error) {
@@ -376,25 +275,4 @@ func (c *Codec) Decode(chunks [][]byte) ([]byte, error) {
 		code(dec, 0, in, missing)
 	}
 	return stripHeader(buf)
-}
-
-func (c *Codec) checkShape(chunks [][]byte, needAll bool) error {
-	if len(chunks) != c.Total() {
-		return ErrChunkCount
-	}
-	size := -1
-	for _, ch := range chunks {
-		if ch == nil {
-			if needAll {
-				return ErrTooFewChunks
-			}
-			continue
-		}
-		if size == -1 {
-			size = len(ch)
-		} else if len(ch) != size {
-			return ErrChunkSizeMism
-		}
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package erasure
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -37,7 +38,7 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestSplitJoinRoundTrip(t *testing.T) {
+func TestSplitDecodeRoundTrip(t *testing.T) {
 	codec := mustCodec(t, 9, 3)
 	for _, size := range []int{0, 1, 8, 9, 100, 1023, 4096, 1 << 20} {
 		data := make([]byte, size)
@@ -49,9 +50,9 @@ func TestSplitJoinRoundTrip(t *testing.T) {
 		if len(chunks) != 12 {
 			t.Fatalf("size %d: got %d chunks", size, len(chunks))
 		}
-		got, err := codec.Join(chunks)
+		got, err := codec.Decode(chunks)
 		if err != nil {
-			t.Fatalf("size %d: join: %v", size, err)
+			t.Fatalf("size %d: decode: %v", size, err)
 		}
 		if !bytes.Equal(got, data) {
 			t.Fatalf("size %d: round trip mismatch", size)
@@ -76,74 +77,19 @@ func TestSystematic(t *testing.T) {
 	}
 }
 
-func TestReconstructFromAnyK(t *testing.T) {
-	codec := mustCodec(t, 9, 3)
-	data := make([]byte, 10000)
-	rand.New(rand.NewSource(42)).Read(data)
-	orig, err := codec.Split(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Try every way of losing exactly m=3 chunks (220 combinations).
-	n := codec.Total()
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			for c := b + 1; c < n; c++ {
-				chunks := make([][]byte, n)
-				for i := range orig {
-					chunks[i] = append([]byte(nil), orig[i]...)
-				}
-				chunks[a], chunks[b], chunks[c] = nil, nil, nil
-				if err := codec.Reconstruct(chunks); err != nil {
-					t.Fatalf("lose {%d,%d,%d}: %v", a, b, c, err)
-				}
-				for i := range orig {
-					if !bytes.Equal(chunks[i], orig[i]) {
-						t.Fatalf("lose {%d,%d,%d}: chunk %d wrong after reconstruct", a, b, c, i)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestReconstructDataOnlyLeavesParityNil(t *testing.T) {
-	codec := mustCodec(t, 4, 2)
-	data := []byte("only the data chunks matter on the read path")
-	chunks, _ := codec.Split(data)
-	chunks[1] = nil // lose a data chunk
-	chunks[5] = nil // lose a parity chunk
-	if err := codec.ReconstructData(chunks); err != nil {
-		t.Fatal(err)
-	}
-	if chunks[1] == nil {
-		t.Fatal("data chunk not rebuilt")
-	}
-	if chunks[5] != nil {
-		t.Fatal("parity chunk should remain nil under ReconstructData")
-	}
-	got, err := codec.Join(chunks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("payload mismatch")
-	}
-}
-
 func TestReconstructTooFewChunks(t *testing.T) {
 	codec := mustCodec(t, 4, 2)
 	chunks, _ := codec.Split([]byte("abcdefgh"))
 	chunks[0], chunks[1], chunks[2] = nil, nil, nil // only 3 left < k=4
-	if err := codec.Reconstruct(chunks); err != ErrTooFewChunks {
+	if _, err := codec.Decode(chunks); err != ErrTooFewChunks {
 		t.Fatalf("got %v, want ErrTooFewChunks", err)
 	}
 }
 
 func TestReconstructWrongSlotCount(t *testing.T) {
 	codec := mustCodec(t, 4, 2)
-	if err := codec.Reconstruct(make([][]byte, 5)); err != ErrChunkCount {
+	chunks, _ := codec.Split([]byte("abcdefgh"))
+	if _, err := codec.Decode(chunks[:5]); err != ErrChunkCount {
 		t.Fatalf("got %v, want ErrChunkCount", err)
 	}
 }
@@ -152,29 +98,8 @@ func TestReconstructSizeMismatch(t *testing.T) {
 	codec := mustCodec(t, 2, 1)
 	chunks, _ := codec.Split([]byte("0123456789"))
 	chunks[1] = chunks[1][:len(chunks[1])-1]
-	if err := codec.Reconstruct(chunks); err != ErrChunkSizeMism {
+	if _, err := codec.Decode(chunks); err != ErrChunkSizeMism {
 		t.Fatalf("got %v, want ErrChunkSizeMism", err)
-	}
-}
-
-func TestVerify(t *testing.T) {
-	codec := mustCodec(t, 6, 3)
-	data := make([]byte, 5000)
-	rand.New(rand.NewSource(7)).Read(data)
-	chunks, _ := codec.Split(data)
-
-	ok, err := codec.Verify(chunks)
-	if err != nil || !ok {
-		t.Fatalf("Verify on intact chunks: ok=%v err=%v", ok, err)
-	}
-
-	chunks[2][10] ^= 0xFF // corrupt a data chunk
-	ok, err = codec.Verify(chunks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("Verify accepted corrupted data")
 	}
 }
 
@@ -185,7 +110,7 @@ func TestDecodeWithCorruptHeader(t *testing.T) {
 	for i := 0; i < 8 && i < len(chunks[0]); i++ {
 		chunks[0][i] = 0xFF
 	}
-	if _, err := codec.Join(chunks); err != ErrSizeHeaderBroken {
+	if _, err := codec.Decode(chunks); err != ErrSizeHeaderBroken {
 		t.Fatalf("got %v, want ErrSizeHeaderBroken", err)
 	}
 }
@@ -282,37 +207,29 @@ func TestReconstructQuick(t *testing.T) {
 	}
 }
 
-// Property: parity is linear — encode(a XOR b) == encode(a) XOR encode(b).
+// Property: parity is linear. Split gives equal-length payloads the same
+// length header, so chunk by chunk split(a) ⊕ split(b) ⊕ split(a⊕b) ⊕
+// split(0ⁿ) = 0: the four headers cancel in pairs, and so do the payloads.
 func TestLinearityQuick(t *testing.T) {
 	codec := mustCodec(t, 4, 2)
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		size := 64
-		a := make([]byte, 4*size)
-		b := make([]byte, 4*size)
+		n := 1 + r.Intn(512)
+		a := make([]byte, n)
+		b := make([]byte, n)
 		r.Read(a)
 		r.Read(b)
-		enc := func(data []byte) [][]byte {
-			chunks := make([][]byte, 6)
-			for i := 0; i < 4; i++ {
-				chunks[i] = append([]byte(nil), data[i*size:(i+1)*size]...)
-			}
-			for i := 4; i < 6; i++ {
-				chunks[i] = make([]byte, size)
-			}
-			if err := codec.Encode(chunks); err != nil {
-				panic(err)
-			}
-			return chunks
-		}
-		xor := make([]byte, len(a))
+		xor := make([]byte, n)
 		for i := range a {
 			xor[i] = a[i] ^ b[i]
 		}
-		ca, cb, cx := enc(a), enc(b), enc(xor)
-		for i := 4; i < 6; i++ {
-			for j := 0; j < size; j++ {
-				if cx[i][j] != ca[i][j]^cb[i][j] {
+		ca, _ := codec.Split(a)
+		cb, _ := codec.Split(b)
+		cx, _ := codec.Split(xor)
+		cz, _ := codec.Split(make([]byte, n))
+		for i := range ca {
+			for j := range ca[i] {
+				if ca[i][j]^cb[i][j]^cx[i][j]^cz[i][j] != 0 {
 					return false
 				}
 			}
@@ -372,7 +289,7 @@ func TestConcurrentDecode(t *testing.T) {
 					return
 				}
 				if !bytes.Equal(got, data) {
-					done <- ErrCorrupt
+					done <- fmt.Errorf("goroutine %d: decoded payload differs", g)
 					return
 				}
 			}
@@ -412,9 +329,7 @@ func BenchmarkEncode1MB_RS9_3_InPlace(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := codec.Encode(chunks); err != nil {
-			b.Fatal(err)
-		}
+		code(codec.coding, codec.k, chunks[:codec.k], chunks[codec.k:])
 	}
 }
 

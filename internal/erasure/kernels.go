@@ -9,10 +9,11 @@ import (
 const tileSize = 4096
 
 // code sets out[r] = Σ_j m[first+r][j]·in[j] for every non-nil out[r]: the
-// one loop behind Encode, Verify and reconstruction, and the codec's single
-// seam onto the gf256 slice kernels. It walks the chunks tile by tile so
-// that a tile of every input stays cache-resident while each output row
-// accumulates; a row's first term overwrites, so out needs no zeroing.
+// one loop behind Split's parity and Decode's reconstruction, and the
+// codec's single seam onto the gf256 slice kernels. It walks the chunks
+// tile by tile so that a tile of every input stays cache-resident while
+// each output row accumulates; a row's first term overwrites, so out needs
+// no zeroing.
 // Every slice of in and out must have the same length.
 func code(m *matrix.Matrix, first int, in, out [][]byte) {
 	size := len(in[0])

@@ -10,7 +10,6 @@ package geo
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"time"
 )
 
@@ -60,9 +59,6 @@ func ParseRegion(name string) (RegionID, error) {
 func DefaultRegions() []RegionID {
 	return []RegionID{Frankfurt, Dublin, NVirginia, SaoPaulo, Tokyo, Sydney}
 }
-
-// NumDefaultRegions is the size of the paper's deployment.
-const NumDefaultRegions = 6
 
 // LatencyMatrix holds the expected latency for a client in region `from` to
 // read one erasure-coded chunk stored in region `to`, including storage
@@ -131,24 +127,6 @@ func (m *LatencyMatrix) Row(from RegionID) []time.Duration {
 func (m *LatencyMatrix) Clone() *LatencyMatrix {
 	out := NewLatencyMatrix(m.n)
 	copy(out.d, m.d)
-	return out
-}
-
-// SortedByDistance returns all region ids ordered from nearest to furthest
-// as seen from the given region. Ties break on region id for determinism.
-func (m *LatencyMatrix) SortedByDistance(from RegionID) []RegionID {
-	m.check(from)
-	out := make([]RegionID, m.n)
-	for i := range out {
-		out[i] = RegionID(i)
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		la, lb := m.Get(from, out[a]), m.Get(from, out[b])
-		if la != lb {
-			return la < lb
-		}
-		return out[a] < out[b]
-	})
 	return out
 }
 

@@ -3,7 +3,7 @@
 // The field is constructed from the irreducible polynomial
 // x^8 + x^4 + x^3 + x^2 + 1 (0x11D), the same generator polynomial used by
 // most Reed-Solomon deployments. Addition and subtraction are XOR;
-// multiplication and division are performed through exp/log tables built
+// multiplication and inversion are performed through exp/log tables built
 // once at package initialisation.
 //
 // The package also provides slice kernels (MulSlice, MulAddSlice) used by the
@@ -92,21 +92,6 @@ func Mul(a, b byte) byte {
 		return 0
 	}
 	return expTable[int(logTable[a])+int(logTable[b])]
-}
-
-// Div returns a / b in GF(2^8). Div panics if b is zero.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf256: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	diff := int(logTable[a]) - int(logTable[b])
-	if diff < 0 {
-		diff += 255
-	}
-	return expTable[diff]
 }
 
 // Inv returns the multiplicative inverse of a. Inv panics if a is zero.
@@ -215,11 +200,4 @@ func mulAddGeneric(row *[256]byte, src, dst []byte) {
 	for i, s := range src {
 		dst[i] ^= row[s]
 	}
-}
-
-// MulTable returns the full 256-entry multiplication row for coefficient c,
-// i.e. row[x] == Mul(c, x). Useful for table-driven inner loops. The row is
-// shared by every caller and by the slice kernels: it must not be modified.
-func MulTable(c byte) *[256]byte {
-	return &mulRows[c]
 }

@@ -78,17 +78,6 @@ func TestMulMatchesSchoolbook(t *testing.T) {
 	}
 }
 
-func TestDivInvertsMul(t *testing.T) {
-	for a := 0; a < 256; a++ {
-		for b := 1; b < 256; b++ {
-			p := Mul(byte(a), byte(b))
-			if got := Div(p, byte(b)); got != byte(a) {
-				t.Fatalf("Div(Mul(%d,%d), %d) = %d, want %d", a, b, b, got, a)
-			}
-		}
-	}
-}
-
 func TestInvExhaustive(t *testing.T) {
 	for a := 1; a < 256; a++ {
 		inv := Inv(byte(a))
@@ -96,15 +85,6 @@ func TestInvExhaustive(t *testing.T) {
 			t.Fatalf("a*Inv(a) != 1 for a=%d (inv=%d, product=%d)", a, inv, got)
 		}
 	}
-}
-
-func TestDivByZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Div by zero did not panic")
-		}
-	}()
-	Div(5, 0)
 }
 
 func TestInvZeroPanics(t *testing.T) {
@@ -268,17 +248,6 @@ func TestSliceLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	MulSlice(3, []byte{1, 2}, []byte{1})
-}
-
-func TestMulTable(t *testing.T) {
-	for _, c := range []byte{0, 1, 2, 0x1D, 0xFF} {
-		row := MulTable(c)
-		for x := 0; x < 256; x++ {
-			if row[x] != Mul(c, byte(x)) {
-				t.Fatalf("MulTable(%d)[%d] = %d, want %d", c, x, row[x], Mul(c, byte(x)))
-			}
-		}
-	}
 }
 
 func BenchmarkMul(b *testing.B) {

@@ -307,9 +307,6 @@ func (c *Cluster) Node() *core.Node { return c.node }
 // Backend exposes the in-process cluster for loading data.
 func (c *Cluster) Backend() *backend.Cluster { return c.cluster }
 
-// Blob exposes the blob-store adapter the backend persists chunks in.
-func (c *Cluster) Blob() store.BlobStore { return c.blob }
-
 // StoreAddr returns a region's store server address.
 func (c *Cluster) StoreAddr(r geo.RegionID) string { return c.storeSrvs[r].Addr() }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/agardist/agar/internal/geo"
 )
@@ -223,5 +224,63 @@ func TestCrossRegionInvalidationDropsStaleMirror(t *testing.T) {
 	defer fraCache.Close()
 	if err := fraCache.PutMultiVer(key, map[int][]byte{0: {1, 2, 3}}, v1-1); err == nil {
 		t.Fatal("stale write-back admitted after invalidation")
+	}
+}
+
+// TestWriteSessionStampsAboveReadVersion is the HLC receive rule on the
+// write path: a writer whose clock lags the version a session has read must
+// still stamp above it. Writer A runs 10 s ahead and writes the key; a
+// session reads that version; writer B, on wall time, then writes through
+// the session. B must win with a newer version, and the key must read back
+// B's bytes — without the rule B's own stamp is older than what the
+// session saw, the stores refuse it as stale, and A's bytes stay.
+func TestWriteSessionStampsAboveReadVersion(t *testing.T) {
+	cluster, err := StartCluster(ClusterConfig{
+		K:            4,
+		M:            2,
+		ClientRegion: geo.Frankfurt,
+		CacheBytes:   60 * 2048,
+		ChunkBytes:   2048,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+
+	const key, size = "skewed-obj", 4_000
+	ahead := NewNetworkWriter(cluster, geo.Frankfurt)
+	defer ahead.Close()
+	ahead.SetClock(func() time.Time { return time.Now().Add(10 * time.Second) })
+	if _, err := ahead.Write(key, payloadFor(key, 1, size)); err != nil {
+		t.Fatal(err)
+	}
+
+	reader, err := NewNetworkReader(cluster, geo.Frankfurt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+	sess := NewSession()
+	_, info, err := reader.ReadSession(key, sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := info.Version
+
+	wall := NewNetworkWriter(cluster, geo.Frankfurt)
+	defer wall.Close()
+	v2, err := wall.WriteSession(key, payloadFor(key, 2, size), sess)
+	if err != nil {
+		t.Fatalf("write after reading v%d: %v", v1, err)
+	}
+	if v2 <= v1 {
+		t.Fatalf("write stamped v%d, not above the read version v%d", v2, v1)
+	}
+	got, _, err := reader.ReadSession(key, sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq := parseSeq(key, got, size); seq != 2 {
+		t.Fatalf("read back generation %d, want the session write's 2", seq)
 	}
 }

@@ -218,10 +218,16 @@ func (w *NetworkWriter) Delete(key string) (uint64, error) {
 	return ver, nil
 }
 
-// WriteSession is Write plus the session bookkeeping: the session's floor
-// for the key rises to the write's version, so the session's next read
-// refuses anything older.
+// WriteSession is Write plus the session bookkeeping. The session's floor
+// for the key is merged into the writer's clock first (the HLC receive
+// rule), so the write stamps above every version the session has read or
+// written even when this writer's clock lags; afterwards the floor rises
+// to the write's version, so the session's next read refuses anything
+// older.
 func (w *NetworkWriter) WriteSession(key string, data []byte, sess *Session) (uint64, error) {
+	if sess != nil {
+		w.clock.Observe(hlc.Timestamp(sess.Floor(key)))
+	}
 	ver, err := w.Write(key, data)
 	if err == nil && sess != nil {
 		sess.Observe(key, ver)

@@ -164,24 +164,6 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 	return out
 }
 
-// MulVec returns the matrix-vector product m * v. It panics if len(v) does
-// not equal the number of columns.
-func (m *Matrix) MulVec(v []byte) []byte {
-	if len(v) != m.cols {
-		panic("matrix: MulVec dimension mismatch")
-	}
-	out := make([]byte, m.rows)
-	for r := 0; r < m.rows; r++ {
-		var acc byte
-		row := m.data[r*m.cols : (r+1)*m.cols]
-		for c, x := range v {
-			acc ^= gf256.Mul(row[c], x)
-		}
-		out[r] = acc
-	}
-	return out
-}
-
 // Augment returns the matrix [m | o] formed by horizontal concatenation.
 // It panics if the row counts differ.
 func (m *Matrix) Augment(o *Matrix) *Matrix {

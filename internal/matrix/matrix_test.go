@@ -93,24 +93,6 @@ func TestMulKnown(t *testing.T) {
 	}
 }
 
-func TestMulVecMatchesMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	m := randomMatrix(rng, 5, 7)
-	v := make([]byte, 7)
-	rng.Read(v)
-	col := New(7, 1)
-	for i, x := range v {
-		col.Set(i, 0, x)
-	}
-	viaMul := m.Mul(col)
-	got := m.MulVec(v)
-	for i := range got {
-		if got[i] != viaMul.Get(i, 0) {
-			t.Fatalf("MulVec[%d] = %d, Mul says %d", i, got[i], viaMul.Get(i, 0))
-		}
-	}
-}
-
 func TestMulAssociativityQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	f := func(seed int64) bool {

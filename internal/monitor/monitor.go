@@ -286,23 +286,3 @@ func (st *Store) HistDeltas(name string, match map[string]string, from, to time.
 	}
 	return out
 }
-
-// Names returns every series name the store holds, sorted — scalar and
-// histogram families alike.
-func (st *Store) Names() []string {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	seen := make(map[string]bool, len(st.scalars)+len(st.hists))
-	for name := range st.scalars {
-		seen[name] = true
-	}
-	for name := range st.hists {
-		seen[name] = true
-	}
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}

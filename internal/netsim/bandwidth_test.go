@@ -9,7 +9,7 @@ import (
 
 // testMatrix builds a small symmetric matrix with a flat base latency.
 func testMatrix(base time.Duration) *geo.LatencyMatrix {
-	m := geo.NewLatencyMatrix(geo.NumDefaultRegions)
+	m := geo.NewLatencyMatrix(len(geo.DefaultRegions()))
 	for _, a := range geo.DefaultRegions() {
 		for _, b := range geo.DefaultRegions() {
 			m.Set(a, b, base)

@@ -100,13 +100,6 @@ func (s *Schedule) SetEpoch(epoch time.Time) {
 	s.mu.Unlock()
 }
 
-// Epoch returns the schedule's anchor instant.
-func (s *Schedule) Epoch() time.Time {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.epoch
-}
-
 // Add installs a raw rule.
 func (s *Schedule) Add(r Rule) {
 	if r.Kind == RuleShift && r.Factor < 0 {
@@ -123,11 +116,6 @@ func (s *Schedule) Add(r Rule) {
 // Shift installs a directional latency shift on the (from, to) link.
 func (s *Schedule) Shift(w Window, from, to geo.RegionID, factor float64, add time.Duration) {
 	s.Add(Rule{Window: w, Kind: RuleShift, From: from, To: to, Factor: factor, Add: add})
-}
-
-// ShiftAllFrom shifts every link seen by clients in `from`.
-func (s *Schedule) ShiftAllFrom(w Window, from geo.RegionID, factor float64, add time.Duration) {
-	s.Shift(w, from, AnyRegion, factor, add)
 }
 
 // Cut severs the (from, to) link and its reverse for the window.

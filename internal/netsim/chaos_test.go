@@ -61,7 +61,7 @@ func TestScheduleLatencyShift(t *testing.T) {
 
 func TestScheduleWildcardShift(t *testing.T) {
 	s := NewSchedule(chaosEpoch)
-	s.ShiftAllFrom(Window{End: time.Minute}, geo.Sydney, 2, 0)
+	s.Shift(Window{End: time.Minute}, geo.Sydney, AnyRegion, 2, 0)
 	at := chaosEpoch.Add(time.Second)
 	for _, to := range geo.DefaultRegions() {
 		if got := s.LatencyAt(at, geo.Sydney, to, 50*time.Millisecond); got != 100*time.Millisecond {

@@ -241,51 +241,3 @@ func (s *Sampler) perturb(base time.Duration) time.Duration {
 
 // Matrix exposes the sampler's underlying latency matrix (for planning).
 func (s *Sampler) Matrix() *geo.LatencyMatrix { return s.matrix }
-
-// ParallelFetch composes the latency of fetching a set of chunks
-// concurrently: the slowest chunk dominates. An empty set costs zero.
-func ParallelFetch(lats []time.Duration) time.Duration {
-	var maxLat time.Duration
-	for _, l := range lats {
-		if l > maxLat {
-			maxLat = l
-		}
-	}
-	return maxLat
-}
-
-// Delayer injects latencies into a live deployment. Scale compresses
-// simulated wide-area delays so integration tests finish quickly (e.g.
-// Scale=0.01 turns 980 ms into 9.8 ms) while preserving their ratios.
-type Delayer struct {
-	sampler *Sampler
-	clock   Clock
-	scale   float64
-}
-
-// NewDelayer returns a delayer that sleeps on clock for scale*sampled time.
-func NewDelayer(s *Sampler, clock Clock, scale float64) *Delayer {
-	if scale < 0 {
-		panic("netsim: negative delay scale")
-	}
-	if clock == nil {
-		clock = RealClock{}
-	}
-	return &Delayer{sampler: s, clock: clock, scale: scale}
-}
-
-// DelayChunk sleeps for the scaled chunk-read latency and returns the
-// unscaled latency that was modelled.
-func (d *Delayer) DelayChunk(from, to geo.RegionID) time.Duration {
-	lat := d.sampler.Chunk(from, to)
-	d.clock.Sleep(time.Duration(float64(lat) * d.scale))
-	return lat
-}
-
-// DelayFixed sleeps for the scaled jittered base and returns the unscaled
-// modelled latency.
-func (d *Delayer) DelayFixed(base time.Duration) time.Duration {
-	lat := d.sampler.Fixed(base)
-	d.clock.Sleep(time.Duration(float64(lat) * d.scale))
-	return lat
-}

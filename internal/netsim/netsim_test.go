@@ -124,49 +124,3 @@ func TestSamplerBadJitterPanics(t *testing.T) {
 	}()
 	NewSampler(geo.DefaultMatrix(), 1.0, 1)
 }
-
-func TestParallelFetch(t *testing.T) {
-	if got := ParallelFetch(nil); got != 0 {
-		t.Fatalf("empty fetch = %v", got)
-	}
-	lats := []time.Duration{100 * time.Millisecond, 900 * time.Millisecond, 20 * time.Millisecond}
-	if got := ParallelFetch(lats); got != 900*time.Millisecond {
-		t.Fatalf("ParallelFetch = %v", got)
-	}
-}
-
-func TestDelayerVirtual(t *testing.T) {
-	m := geo.DefaultMatrix()
-	s := NewSampler(m, 0, 1)
-	clock := NewVirtualClock(time.Time{})
-	d := NewDelayer(s, clock, 1.0)
-	lat := d.DelayChunk(geo.Frankfurt, geo.Dublin)
-	if want := m.Get(geo.Frankfurt, geo.Dublin); lat != want {
-		t.Fatalf("modelled latency %v, want %v", lat, want)
-	}
-	if got := clock.Now().Sub(time.Time{}); got != m.Get(geo.Frankfurt, geo.Dublin) {
-		t.Fatalf("clock advanced %v", got)
-	}
-}
-
-func TestDelayerScale(t *testing.T) {
-	m := geo.DefaultMatrix()
-	s := NewSampler(m, 0, 1)
-	clock := NewVirtualClock(time.Time{})
-	d := NewDelayer(s, clock, 0.01)
-	lat := d.DelayFixed(time.Second)
-	if lat != time.Second {
-		t.Fatalf("modelled latency must be unscaled, got %v", lat)
-	}
-	if got := clock.Now().Sub(time.Time{}); got != 10*time.Millisecond {
-		t.Fatalf("scaled sleep was %v, want 10ms", got)
-	}
-}
-
-func TestDelayerNilClockDefaultsToReal(t *testing.T) {
-	s := NewSampler(geo.DefaultMatrix(), 0, 1)
-	d := NewDelayer(s, nil, 0) // scale 0: no sleeping, but must not panic
-	if lat := d.DelayFixed(time.Hour); lat != time.Hour {
-		t.Fatalf("lat = %v", lat)
-	}
-}

@@ -174,16 +174,6 @@ func Library() []Spec {
 	}
 }
 
-// Names lists the built-in scenario names in run order.
-func Names() []string {
-	lib := Library()
-	out := make([]string, len(lib))
-	for i, s := range lib {
-		out[i] = s.Name
-	}
-	return out
-}
-
 // Lookup finds a built-in scenario by name.
 func Lookup(name string) (Spec, bool) {
 	for _, s := range Library() {

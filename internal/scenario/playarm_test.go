@@ -23,9 +23,10 @@ func TestSoakWindowsMatchRunPhases(t *testing.T) {
 			{Name: "uniform", Duration: phase, Workload: Workload{Kind: WorkloadUniform}},
 		},
 	}
-	opts := Options{OpCap: opCap, WarmupOps: 60, Seed: 3}
+	opts := Options{WarmupOps: 60, Seed: 3}
 	agarOnly := opts
 	agarOnly.Arms = []experiments.Strategy{{Kind: experiments.StratAgar}}
+	agarOnly.OpCap = opCap
 	rep, err := Run(spec, agarOnly)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +87,7 @@ func TestRunKeepsPhaseOvershotByOneOp(t *testing.T) {
 		}
 	}
 
-	soak, err := RunSoak(SoakSpec{Spec: spec, SampleEvery: time.Second, OpsPerSample: 100}, opts)
+	soak, err := RunSoak(SoakSpec{Spec: spec, SampleEvery: time.Second, OpsPerSample: 100}, Options{WarmupOps: 60, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestRunSoakHonoursPeers(t *testing.T) {
 	unpeered.PeerRegions = nil
 	meanMS := func(spec Spec) float64 {
 		t.Helper()
-		rep, err := RunSoak(SoakSpec{Spec: spec, SampleEvery: 10 * time.Second, OpsPerSample: 60}, reducedOpts())
+		rep, err := RunSoak(SoakSpec{Spec: spec, SampleEvery: 10 * time.Second, OpsPerSample: 60}, Options{WarmupOps: 60, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +148,7 @@ func TestRunSoakRefusesSweeps(t *testing.T) {
 		{Name: "tiers", StoreTiers: []string{"mem", "remote-slow"}, Phases: []Phase{read}},
 		{Name: "paired", Coherence: CoherencePaired, Phases: []Phase{write}},
 	} {
-		_, err := RunSoak(SoakSpec{Spec: spec}, reducedOpts())
+		_, err := RunSoak(SoakSpec{Spec: spec}, Options{WarmupOps: 60, Seed: 1})
 		if err == nil || !strings.Contains(err.Error(), "one store tier in one coherence mode") {
 			t.Errorf("soak %s: err = %v, want a refusal", spec.Name, err)
 		}
@@ -155,7 +156,27 @@ func TestRunSoakRefusesSweeps(t *testing.T) {
 	// One tier named explicitly is no sweep.
 	one := Spec{Name: "one-tier", Objects: 60, StoreTiers: []string{"mem"},
 		Phases: []Phase{{Name: "read", Duration: 10 * time.Second, Workload: Workload{Kind: WorkloadZipfian}}}}
-	if _, err := RunSoak(SoakSpec{Spec: one, SampleEvery: 5 * time.Second, OpsPerSample: 20}, reducedOpts()); err != nil {
+	if _, err := RunSoak(SoakSpec{Spec: one, SampleEvery: 5 * time.Second, OpsPerSample: 20}, Options{WarmupOps: 60, Seed: 1}); err != nil {
 		t.Errorf("single-tier soak: %v", err)
+	}
+}
+
+// A soak plays only the Agar arm and caps each window at OpsPerSample, so
+// options that choose arms or an op cap are refused rather than dropped.
+func TestRunSoakRefusesIgnoredOptions(t *testing.T) {
+	spec := Spec{Name: "opts", Objects: 60, Phases: []Phase{
+		{Name: "read", Duration: 5 * time.Second, Workload: Workload{Kind: WorkloadZipfian}},
+	}}
+	soak := SoakSpec{Spec: spec, SampleEvery: 5 * time.Second, OpsPerSample: 20}
+	for name, opts := range map[string]Options{
+		"arms":  {Arms: []experiments.Strategy{{Kind: experiments.StratLRU, C: 3}}, Seed: 1},
+		"opcap": {OpCap: 200, Seed: 1},
+	} {
+		if _, err := RunSoak(soak, opts); err == nil || !strings.Contains(err.Error(), "Options.Arms and Options.OpCap are not used") {
+			t.Errorf("%s: err = %v, want a refusal", name, err)
+		}
+	}
+	if _, err := RunSoak(soak, Options{Seed: 1}); err != nil {
+		t.Errorf("plain options: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -213,11 +212,6 @@ func (r *Report) mutating() bool {
 		}
 	}
 	return false
-}
-
-// JSON renders the report as indented JSON.
-func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // Markdown renders the human-readable summary: per-phase tables plus the

@@ -60,11 +60,6 @@ func DefaultArms(c int) []experiments.Strategy {
 	}
 }
 
-// AllArms additionally includes the pinned fixed-cache baseline.
-func AllArms(c int) []experiments.Strategy {
-	return append(DefaultArms(c), experiments.Strategy{Kind: experiments.StratFixed, C: c})
-}
-
 // ParseArm resolves an arm name ("agar", "lru", "lfu", "fixed", "backend")
 // to a strategy with the given fixed chunk count.
 func ParseArm(name string, c int) (experiments.Strategy, error) {

@@ -167,7 +167,7 @@ func TestLibraryEndToEnd(t *testing.T) {
 			if !strings.Contains(rep.Markdown(), "Paired deltas") {
 				t.Errorf("markdown summary lacks the delta table")
 			}
-			if _, err := rep.JSON(); err != nil {
+			if _, err := json.MarshalIndent(rep, "", "  "); err != nil {
 				t.Errorf("json: %v", err)
 			}
 		})

@@ -170,8 +170,13 @@ func stripEvents(spec Spec) Spec {
 // share one loaded deployment (like Run) and replay identical seeded
 // workloads, so their sample series pair window by window. A soak plays
 // one tier in one coherence mode: specs that sweep several store tiers or
-// pair coherence modes are refused.
+// pair coherence modes are refused. The soak always plays the Agar arm and
+// caps each sample window at OpsPerSample, so options that set Arms or
+// OpCap are refused too rather than silently dropped.
 func RunSoak(s SoakSpec, opts Options) (*SoakReport, error) {
+	if len(opts.Arms) > 0 || opts.OpCap != 0 {
+		return nil, fmt.Errorf("soak %q: a soak plays the Agar arm capped by OpsPerSample; Options.Arms and Options.OpCap are not used", s.Spec.Name)
+	}
 	s = s.withDefaults()
 	d, err := newDeployment(s.Spec, opts)
 	if err != nil {

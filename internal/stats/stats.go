@@ -1,6 +1,6 @@
 // Package stats provides the statistical primitives shared by Agar's request
-// monitor and the benchmark harness: exponentially weighted moving averages,
-// streaming mean/variance, and latency summaries with percentiles.
+// monitor and the benchmark harness: exponentially weighted moving averages
+// and latency summaries with percentiles.
 package stats
 
 import (
@@ -46,39 +46,6 @@ func (e *EWMA) Value() float64 { return e.value }
 
 // Samples returns how many periods have been folded in.
 func (e *EWMA) Samples() int { return e.samples }
-
-// Welford accumulates streaming mean and variance. The zero value is ready
-// to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds in one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 with no observations).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the sample variance (0 with fewer than 2 observations).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
 
 // LatencySummary collects latency observations and reports mean and
 // percentiles. It retains all samples; experiment runs are bounded (a few
@@ -167,42 +134,3 @@ func (s *LatencySummary) Min() time.Duration { return s.Percentile(0) }
 
 // Max returns the largest observation (0 when empty).
 func (s *LatencySummary) Max() time.Duration { return s.Percentile(100) }
-
-// Merge folds another summary's samples into this one.
-func (s *LatencySummary) Merge(o *LatencySummary) {
-	s.samples = append(s.samples, o.samples...)
-	s.sorted = false
-}
-
-// Counter is a simple monotonically increasing event counter with named
-// buckets, used for cache hit accounting. The zero value is ready to use.
-type Counter struct {
-	counts map[string]int64
-}
-
-// Inc adds one to the named bucket.
-func (c *Counter) Inc(name string) { c.Addn(name, 1) }
-
-// Addn adds n to the named bucket.
-func (c *Counter) Addn(name string, n int64) {
-	if c.counts == nil {
-		c.counts = make(map[string]int64)
-	}
-	c.counts[name] += n
-}
-
-// Get returns the named bucket's count.
-func (c *Counter) Get(name string) int64 { return c.counts[name] }
-
-// Ratio returns bucket a divided by the sum of buckets bs, or 0 when the
-// denominator is zero.
-func (c *Counter) Ratio(a string, bs ...string) float64 {
-	var denom int64
-	for _, b := range bs {
-		denom += c.counts[b]
-	}
-	if denom == 0 {
-		return 0
-	}
-	return float64(c.counts[a]) / float64(denom)
-}

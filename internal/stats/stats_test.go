@@ -65,29 +65,6 @@ func TestEWMAInvalidAlpha(t *testing.T) {
 	NewEWMA(1) // boundary is legal
 }
 
-func TestWelford(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 {
-		t.Fatal("zero-value Welford must report zeros")
-	}
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	if w.N() != 8 {
-		t.Fatalf("N = %d", w.N())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Fatalf("mean = %v, want 5", w.Mean())
-	}
-	// Sample variance of this classic set is 32/7.
-	if math.Abs(w.Variance()-32.0/7.0) > 1e-12 {
-		t.Fatalf("variance = %v, want %v", w.Variance(), 32.0/7.0)
-	}
-	if math.Abs(w.Stddev()-math.Sqrt(32.0/7.0)) > 1e-12 {
-		t.Fatalf("stddev = %v", w.Stddev())
-	}
-}
-
 func TestLatencySummary(t *testing.T) {
 	s := NewLatencySummary(8)
 	if s.Mean() != 0 || s.Percentile(50) != 0 {
@@ -126,17 +103,6 @@ func TestLatencySummaryInterleavedAddAndQuery(t *testing.T) {
 	}
 }
 
-func TestLatencySummaryMerge(t *testing.T) {
-	a := NewLatencySummary(2)
-	b := NewLatencySummary(2)
-	a.Add(10 * time.Millisecond)
-	b.Add(30 * time.Millisecond)
-	a.Merge(b)
-	if a.N() != 2 || a.Mean() != 20*time.Millisecond {
-		t.Fatalf("merge wrong: n=%d mean=%v", a.N(), a.Mean())
-	}
-}
-
 func TestPercentileMonotonicQuick(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
@@ -158,25 +124,5 @@ func TestPercentileMonotonicQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	if c.Get("x") != 0 {
-		t.Fatal("zero-value counter must read 0")
-	}
-	c.Inc("hit")
-	c.Inc("hit")
-	c.Inc("miss")
-	c.Addn("partial", 3)
-	if c.Get("hit") != 2 || c.Get("partial") != 3 {
-		t.Fatal("counts wrong")
-	}
-	if got := c.Ratio("hit", "hit", "miss"); math.Abs(got-2.0/3.0) > 1e-12 {
-		t.Fatalf("ratio = %v", got)
-	}
-	if got := c.Ratio("hit", "absent"); got != 0 {
-		t.Fatalf("ratio with zero denominator = %v, want 0", got)
 	}
 }

@@ -48,9 +48,6 @@ func NewDisk(dir string) (*Disk, error) {
 	return d, nil
 }
 
-// Root returns the store's root directory.
-func (d *Disk) Root() string { return d.root }
-
 // rescan rebuilds the index from the on-disk layout and removes temp files
 // left by interrupted writes.
 func (d *Disk) rescan() error {

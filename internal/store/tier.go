@@ -38,13 +38,6 @@ var tiers = []Tier{
 	{Name: "remote-flaky", Latency: 20 * time.Millisecond, ErrRate: 0.08},
 }
 
-// Tiers returns the built-in tier envelopes in definition order.
-func Tiers() []Tier {
-	out := make([]Tier, len(tiers))
-	copy(out, tiers)
-	return out
-}
-
 // TierNames lists the built-in tier names.
 func TierNames() []string {
 	out := make([]string, len(tiers))

@@ -1,12 +1,10 @@
 // Package workload generates the request streams used by the evaluation: the
 // YCSB-style Zipfian distribution the paper drives every experiment with,
-// plus uniform, scrambled-Zipfian, latest and hotspot generators.
+// plus uniform, scrambled-Zipfian, latest and range-hotspot generators.
 //
-// Two Zipfian implementations are provided. Zipfian samples exactly from the
-// inverse CDF, valid for any skew exponent (the paper uses skews from 0.2 up
-// to 1.4, beyond the range where the classic YCSB approximation is
-// accurate). YCSBZipfian reimplements the Gray et al. streaming
-// approximation as used by YCSB itself, for large key spaces with skew < 1.
+// Zipfian samples exactly from the inverse CDF, valid for any skew exponent
+// (the paper uses skews from 0.2 up to 1.4, beyond the range where the
+// classic YCSB streaming approximation is accurate).
 package workload
 
 import (
@@ -195,99 +193,3 @@ func (l *Latest) Next() int {
 
 // N implements Generator.
 func (l *Latest) N() int { return l.inner.n }
-
-// --- hotspot ---
-
-// Hotspot sends hotFrac of the traffic to the first hotN keys and the rest
-// uniformly to the remainder.
-type Hotspot struct {
-	n       int
-	hotN    int
-	hotFrac float64
-	rng     *rand.Rand
-}
-
-// NewHotspot returns a hotspot generator.
-func NewHotspot(n, hotN int, hotFrac float64, seed int64) *Hotspot {
-	if n <= 0 || hotN <= 0 || hotN > n {
-		panic("workload: bad hotspot parameters")
-	}
-	if hotFrac < 0 || hotFrac > 1 {
-		panic("workload: hotFrac must be in [0,1]")
-	}
-	return &Hotspot{n: n, hotN: hotN, hotFrac: hotFrac, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Next implements Generator.
-func (h *Hotspot) Next() int {
-	if h.rng.Float64() < h.hotFrac {
-		return h.rng.Intn(h.hotN)
-	}
-	if h.hotN == h.n {
-		return h.rng.Intn(h.n)
-	}
-	return h.hotN + h.rng.Intn(h.n-h.hotN)
-}
-
-// N implements Generator.
-func (h *Hotspot) N() int { return h.n }
-
-// --- YCSB streaming Zipfian (Gray et al.) ---
-
-// YCSBZipfian reimplements YCSB's ZipfianGenerator (the Gray et al.
-// "Quickly generating billion-record synthetic databases" algorithm). It
-// samples in O(1) without materialising the CDF, at the cost of being an
-// approximation that is only faithful for skew < 1.
-type YCSBZipfian struct {
-	n     int
-	theta float64
-	alpha float64
-	zetan float64
-	eta   float64
-	rng   *rand.Rand
-}
-
-// NewYCSBZipfian returns a streaming Zipfian generator over n keys with
-// exponent theta in (0, 1).
-func NewYCSBZipfian(n int, theta float64, seed int64) *YCSBZipfian {
-	if n <= 0 {
-		panic("workload: ycsb zipfian needs n > 0")
-	}
-	if theta <= 0 || theta >= 1 {
-		panic("workload: ycsb zipfian needs theta in (0,1); use Zipfian for other skews")
-	}
-	zetan := zeta(n, theta)
-	g := &YCSBZipfian{
-		n:     n,
-		theta: theta,
-		alpha: 1 / (1 - theta),
-		zetan: zetan,
-		eta:   (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta(2, theta)/zetan),
-		rng:   rand.New(rand.NewSource(seed)),
-	}
-	return g
-}
-
-func zeta(n int, theta float64) float64 {
-	sum := 0.0
-	for i := 1; i <= n; i++ {
-		sum += 1 / math.Pow(float64(i), theta)
-	}
-	return sum
-}
-
-// Next implements Generator.
-func (g *YCSBZipfian) Next() int {
-	u := g.rng.Float64()
-	uz := u * g.zetan
-	if uz < 1 {
-		return 0
-	}
-	if uz < 1+math.Pow(0.5, g.theta) {
-		return 1
-	}
-	return int(float64(g.n) * math.Pow(g.eta*u-g.eta+1, g.alpha))
-}
-
-// N implements Generator.
-func (g *YCSBZipfian) N() int { return g.n }

@@ -187,64 +187,6 @@ func TestLatestFavoursNewestKeys(t *testing.T) {
 	}
 }
 
-func TestHotspot(t *testing.T) {
-	g := NewHotspot(100, 10, 0.9, 8)
-	counts := sample(g, 100000)
-	hot := 0
-	for i := 0; i < 10; i++ {
-		hot += counts[i]
-	}
-	if math.Abs(float64(hot)/100000-0.9) > 0.02 {
-		t.Fatalf("hotspot fraction off: %d/100000", hot)
-	}
-}
-
-func TestHotspotFullHot(t *testing.T) {
-	g := NewHotspot(10, 10, 0.5, 9)
-	for i := 0; i < 1000; i++ {
-		if k := g.Next(); k < 0 || k >= 10 {
-			t.Fatalf("key %d out of range", k)
-		}
-	}
-}
-
-func TestYCSBZipfianRangeAndSkew(t *testing.T) {
-	g := NewYCSBZipfian(1000, 0.99, 10)
-	counts := sample(g, 300000)
-	if counts[0] < counts[500]*10 {
-		t.Fatalf("ycsb zipfian not skewed: head %d vs mid %d", counts[0], counts[500])
-	}
-}
-
-func TestYCSBZipfianAgreesWithExactHead(t *testing.T) {
-	// For theta < 1 the Gray approximation should roughly match the exact
-	// sampler on the head of the distribution.
-	n, theta := 1000, 0.8
-	total := 400000
-	approx := sample(NewYCSBZipfian(n, theta, 11), total)
-	exact := sample(NewZipfian(n, theta, 12), total)
-	for i := 0; i < 3; i++ {
-		a := float64(approx[i]) / float64(total)
-		e := float64(exact[i]) / float64(total)
-		if math.Abs(a-e) > 0.02 {
-			t.Errorf("key %d: approx %v vs exact %v", i, a, e)
-		}
-	}
-}
-
-func TestYCSBZipfianPanicsOutsideRange(t *testing.T) {
-	for _, theta := range []float64{0, 1, 1.1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("theta %v did not panic", theta)
-				}
-			}()
-			NewYCSBZipfian(10, theta, 1)
-		}()
-	}
-}
-
 func TestKeyName(t *testing.T) {
 	if KeyName(7) != "object-00007" {
 		t.Fatalf("KeyName(7) = %q", KeyName(7))
@@ -256,13 +198,6 @@ func TestKeyName(t *testing.T) {
 
 func BenchmarkZipfianNext(b *testing.B) {
 	g := NewZipfian(300, 1.1, 1)
-	for i := 0; i < b.N; i++ {
-		g.Next()
-	}
-}
-
-func BenchmarkYCSBZipfianNext(b *testing.B) {
-	g := NewYCSBZipfian(1_000_000, 0.99, 1)
 	for i := 0; i < b.N; i++ {
 		g.Next()
 	}
