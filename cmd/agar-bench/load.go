@@ -218,7 +218,7 @@ func prepopulate(addr string, objects, chunks, chunkBytes int) error {
 			}
 			payload[j] = b
 		}
-		if err := rc.PutMulti(key, payload); err != nil {
+		if err := rc.PutMultiVer(key, payload, 0); err != nil {
 			return fmt.Errorf("put %s: %w", key, err)
 		}
 	}

@@ -1,10 +1,10 @@
 // Command cache-server runs a standalone chunk cache over TCP with a
-// memcached-like get/set/delete surface (single-chunk and batched mget/mput
-// round trips), a pluggable eviction policy, a sharded store for concurrent
-// client fan-in, and an optional cooperative-cache mesh: with -peers set,
-// the server periodically advertises its residency digest to peer cache
-// servers and mirrors the digests it receives, reporting peer_hits,
-// peer_misses and digest_age_ms through its stats op.
+// memcached-like surface (single-chunk get, batched mget/mput, versioned
+// object invalidation), a pluggable eviction policy, a sharded store for
+// concurrent client fan-in, and an optional cooperative-cache mesh: with
+// -peers set, the server periodically advertises its residency digest to
+// peer cache servers and mirrors the digests it receives, reporting peer
+// hits, peer misses and digest age on -metrics-addr's /metrics.
 //
 // Each connection's goroutine decodes, executes and answers its own frames
 // in order; concurrency comes from many connections over the sharded store.

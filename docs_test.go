@@ -6,13 +6,18 @@ package agar_test
 // so documentation drift fails tier-1 verification.
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -107,10 +112,12 @@ func TestDocsMarkdownLinks(t *testing.T) {
 	}
 }
 
-// TestDocsWireReference fails when docs/WIRE.md drifts from the protocol:
-// every Op* opcode constant and every Header field declared in
-// internal/wire/wire.go must be mentioned in the reference, as must the
-// batch and frame limit constants.
+// TestDocsWireReference fails when docs/WIRE.md drifts from the protocol,
+// in both directions: every Op* opcode constant and every Header field
+// declared in internal/wire/wire.go must be mentioned in the reference, as
+// must the batch and frame limit constants; and every Op* identifier the
+// reference names, and every row of its header-field table, must still be
+// declared there.
 func TestDocsWireReference(t *testing.T) {
 	doc, err := os.ReadFile("docs/WIRE.md")
 	if err != nil {
@@ -124,7 +131,9 @@ func TestDocsWireReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	var missing []string
+	declared := map[string]bool{}
 	require := func(name, kind string) {
+		declared[kind+" "+name] = true
 		if !strings.Contains(text, name) {
 			missing = append(missing, fmt.Sprintf("%s %s", kind, name))
 		}
@@ -164,6 +173,27 @@ func TestDocsWireReference(t *testing.T) {
 	}
 	if len(missing) > 0 {
 		t.Errorf("docs/WIRE.md missing: %s", strings.Join(missing, ", "))
+	}
+
+	var stale []string
+	for _, name := range regexp.MustCompile(`\bOp[A-Z]\w*`).FindAllString(text, -1) {
+		if !declared["constant "+name] {
+			stale = append(stale, "constant "+name)
+		}
+	}
+	_, header, _ := strings.Cut(text, "## Header fields")
+	header, _, _ = strings.Cut(header, "\n## ")
+	rows := regexp.MustCompile("(?m)^\\| `(\\w+)` \\|").FindAllStringSubmatch(header, -1)
+	if len(rows) == 0 {
+		t.Fatal("docs/WIRE.md: no header-field table under \"## Header fields\"")
+	}
+	for _, row := range rows {
+		if !declared["Header field "+row[1]] {
+			stale = append(stale, "Header field "+row[1])
+		}
+	}
+	if len(stale) > 0 {
+		t.Errorf("docs/WIRE.md names what internal/wire/wire.go no longer declares: %s", strings.Join(stale, ", "))
 	}
 }
 
@@ -245,130 +275,109 @@ var testOnlyExportKinds = []string{
 // tests name, keyed pkg.Name (pkg.Type.Method for methods), each with the
 // reason it stays.
 var testOnlyExports = map[string]string{
+	"backend.NewStore":                  "test constructor: an in-memory store for server and cluster tests",
+	"backend.StaleError.Is":             "interface method: errors.Is matches ErrStale through it",
+	"backend.Store.DeleteObjectVer":     "test constructor: persists the tombstone floor whose durability and staleness the versioned store tests check",
 	"backend.Store.Down":                "test observation point: tests read the injected region-failure flag",
+	"backend.Store.Keys":                "test observation point: the object keys a region holds",
+	"backend.Store.Region":              "test observation point: the region a store serves",
+	"cache.Cache.Delete":                "test constructor: evicts one chunk to build the partial-residency states the cache and digest-delta tests need",
+	"cache.Cache.GetObject":             "test observation point: every resident chunk of one object",
+	"cache.Cache.Len":                   "test observation point: the resident entry count",
 	"cache.Cache.ShardIndex":            "test observation point: server tests check their keys cover every stripe",
 	"client.Result.Hit":                 "test observation point: the Figure 7 hit definition the reader tests assert",
 	"client.Writer.AddInvalidator":      "test constructor: wires a cache into a writer after construction",
+	"coherence.VersionTable.Seed":       "test constructor: sets a key's floor directly, lowering included",
 	"coop.Advertiser.DeltaPushes":       "test observation point: tests check a push travelled as a delta",
+	"coop.Advertiser.Stats":             "test observation point: the advertiser's push counters",
+	"coop.Mirror.Keys":                  "test observation point: how many keys a mirror holds",
+	"coop.Mirror.VersionOf":             "test observation point: the version a peer last advertised for a key",
+	"coop.Table.Regions":                "test observation point: the peer regions with a mirror",
 	"core.CacheManager.Compute":         "test observation point: the planning core without touching the cache",
-	"core.Monitor.Requests":             "test observation point: the monitor's request count",
+	"core.ExactMCKP":                    "reference oracle: the exact knapsack optimum POPULATE and greedy are checked against",
 	"core.Monitor.CurrentFrequency":     "test observation point: a key's access count in the running period",
+	"core.Monitor.Requests":             "test observation point: the monitor's request count",
 	"core.Monitor.TopKeys":              "test observation point: the monitor's popularity ranking",
-	"core.PaperWeightGrid":              "test constructor: the §IV-A example's odd weight grid, one of the grids bench_test.go solves over",
 	"core.NewOptionSet":                 "test constructor: builds option sets for solver tests and benchmarks",
+	"core.Node.Monitor":                 "test observation point: the node's request monitor",
+	"core.PaperWeightGrid":              "test constructor: the §IV-A example's odd weight grid, one of the grids bench_test.go solves over",
+	"core.RegionManager.Client":         "test observation point: the region the manager serves",
 	"core.RegionManager.Estimate":       "test observation point: a region's current latency estimate",
 	"core.RegionManager.Plan":           "test observation point: the fetch plan the current estimates give",
-	"core.ExactMCKP":                    "reference oracle: the exact knapsack optimum POPULATE and greedy are checked against",
+	"experiments.Deployment.Run":        "test observation point: one averaged measurement campaign, which the root benchmarks time",
 	"geo.FetchPlan.MaxLatencyExcluding": "reference oracle: the §IV-A set formulation GenerateOptions is checked against",
+	"geo.LatencyMatrix.Row":             "test observation point: a copy of one region's latency row",
+	"geo.LatencyMatrix.Size":            "test observation point: the region count",
+	"gf256.Add":                         "reference oracle: field addition (XOR) in the axiom tests",
 	"gf256.Exp":                         "test observation point: exposes the exp table the field tests check exhaustively",
+	"gf256.Generator":                   "test observation point: the primitive element the exp/log tables are built from",
 	"gf256.Log":                         "test observation point: exposes the log table the field tests check exhaustively",
-	"hlc.Timestamp.Wall":                "test observation point: a timestamp's physical component as a time",
-	"hlc.NewAt":                         "test constructor: a clock on an injected physical source",
+	"gf256.Sub":                         "reference oracle: field subtraction, checked equal to addition",
 	"hlc.Clock.Last":                    "test observation point: the last issued timestamp without advancing",
-	"live.RemoteHinter.HintMulti":       "test observation point: the only client of the served OpMHint op, driven end to end by its test",
-	"live.Server.PoolOutstanding":       "test observation point: the pooled-buffer leak check",
-	"live.NewStoreServer":               "test constructor: a store server with default options",
+	"hlc.NewAt":                         "test constructor: a clock on an injected physical source",
+	"hlc.Parse":                         "reference oracle: the inverse of Timestamp.String the round-trip tests check",
+	"hlc.Timestamp.Wall":                "test observation point: a timestamp's physical component as a time",
+	"live.Cluster.Advertiser":           "test observation point: the cluster's digest advertiser, whose delta pushes the tests count",
 	"live.NewCacheServer":               "test constructor: a cache server with default options",
+	"live.NewStoreServer":               "test constructor: a store server with default options",
+	"live.Server.PoolOutstanding":       "test observation point: the pooled-buffer leak check",
 	"matrix.FromRows":                   "test constructor: a matrix from literal rows",
+	"matrix.Matrix.Clone":               "test constructor: a deep copy of a matrix",
 	"matrix.Matrix.Cols":                "test observation point: a matrix's column count",
+	"matrix.Matrix.Equal":               "reference oracle: the element-wise comparison the algebra tests check products with",
 	"matrix.Matrix.IsIdentity":          "reference oracle: checks m·m⁻¹ in the inversion tests",
+	"matrix.Matrix.Row":                 "test observation point: a copy of one row",
+	"matrix.Matrix.Rows":                "test observation point: a matrix's row count",
+	"metrics.Histogram.Count":           "test observation point: the observation count",
 	"metrics.Registry.NewCounter":       "test constructor: an unlabelled counter for registry tests",
 	"metrics.Registry.NewHistogram":     "test constructor: an unlabelled histogram for registry tests",
-	"monitor.Health.ServeHTTP":          "interface method: http.Handler",
+	"monitor.Health.Alerts":             "test observation point: the rules currently firing",
+	"stats.EWMA.Samples":                "test observation point: how many samples the average has seen",
 	"store.Chaos.Injected":              "test observation point: how many faults the chaos wrapper injected",
+	"store.NewGateway":                  "test constructor: a blob gateway without a metrics registry",
 	"trace.ParseID":                     "reference oracle: the inverse of ID.String the round-trip tests check",
-	"workload.Zipfian.Weights":          "reference oracle: the analytic key probabilities the sampling tests check against",
 	"workload.NewSequential":            "test constructor: a deterministic key stream for workload and YCSB tests",
+	"workload.Zipfian.Weights":          "reference oracle: the analytic key probabilities the sampling tests check against",
 }
 
 // TestDocsNoTestOnlyExports fails on an exported top-level declaration in
-// internal/ whose name no non-test Go file of the repository (benchmark/
-// included) uses as an identifier anywhere but at a top-level declaration:
-// code only tests can reach. The match is by name, so a name shared with a
-// live declaration elsewhere hides a dead one; comments do not count as a
-// use. It also fails on an allowlist entry that flags nothing, so the list
-// cannot outlive what it excuses.
+// internal/ (func, method, type, var, const) that no non-test Go file of the
+// repository (benchmark/ included) uses: code only tests can reach. Uses are
+// resolved by type checking (go/types, the standard library imported from
+// source), so a name shared with a live declaration elsewhere hides
+// nothing. A method also counts as used when its type implements an
+// interface of the program — one declared in the repository or in a
+// package it imports, or written inline in its code — that has a method of
+// that name, since the call may go through the interface. Uses are the
+// union over the default build and -tags purego. The test also fails on an
+// allowlist entry that flags nothing, so the list cannot outlive what it
+// excuses.
 func TestDocsNoTestOnlyExports(t *testing.T) {
-	type decl struct {
-		key string
-		id  *ast.Ident
-	}
 	fset := token.NewFileSet()
-	var decls []decl
-	declIdents := map[*ast.Ident]bool{}
-	var files []*ast.File
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
-		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
-		add := func(id *ast.Ident, key string) {
-			declIdents[id] = true
-			if internal && id.IsExported() {
-				decls = append(decls, decl{f.Name.Name + "." + key, id})
-			}
-		}
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				key := d.Name.Name
-				if d.Recv != nil {
-					recv := d.Recv.List[0].Type
-					if star, ok := recv.(*ast.StarExpr); ok {
-						recv = star.X
-					}
-					key = recv.(*ast.Ident).Name + "." + key
-				}
-				add(d.Name, key)
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						add(s.Name, s.Name.Name)
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							add(n, n.Name)
-						}
-					}
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	std := importer.ForCompiler(fset, "source", nil)
+	decls := map[string]token.Pos{}
 	used := map[string]bool{}
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declIdents[id] {
-				used[id.Name] = true
-			}
-			return true
-		})
-	}
-	flagged := map[string]bool{}
-	for _, d := range decls {
-		if used[d.id.Name] {
-			continue
+	for _, tags := range [][]string{nil, {"purego"}} {
+		d, u := checkProgram(t, fset, std, tags)
+		for k, pos := range d {
+			decls[k] = pos
 		}
-		flagged[d.key] = true
-		if _, ok := testOnlyExports[d.key]; !ok {
-			t.Errorf("%s: %s is exported but no non-test file uses it: delete it, or allowlist it in testOnlyExports with a reason", fset.Position(d.id.Pos()), d.key)
+		for k, ok := range u {
+			used[k] = used[k] || ok
+		}
+	}
+	var keys []string
+	for k := range decls {
+		if !used[k] {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	flagged := map[string]bool{}
+	for _, key := range keys {
+		flagged[key] = true
+		if _, ok := testOnlyExports[key]; !ok {
+			t.Errorf("%s: %s is exported but no non-test file uses it: delete it, or allowlist it in testOnlyExports with a reason", fset.Position(decls[key]), key)
 		}
 	}
 	for key, why := range testOnlyExports {
@@ -383,4 +392,182 @@ func TestDocsNoTestOnlyExports(t *testing.T) {
 			t.Errorf("testOnlyExports entry %s: reason %q must start with one of %q and a colon", key, why, testOnlyExportKinds)
 		}
 	}
+}
+
+// checkProgram type-checks every package of the repository (its non-test
+// files under the given build tags) and returns the exported internal/
+// declarations, keyed pkg.Name or pkg.Type.Method with their positions, and
+// the keys of those the program uses.
+func checkProgram(t *testing.T, fset *token.FileSet, std types.Importer, tags []string) (map[string]token.Pos, map[string]bool) {
+	t.Helper()
+	mod, err := os.ReadFile("go.mod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	modPath := strings.Fields(strings.SplitN(string(mod), "\n", 2)[0])[1]
+	ld := &programLoader{
+		fset: fset, std: std, ctxt: build.Default,
+		dirs: map[string]string{}, pkgs: map[string]*types.Package{},
+		info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
+	}
+	ld.ctxt.BuildTags = tags
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		ld.dirs[strings.TrimSuffix(modPath+"/"+filepath.ToSlash(path), "/.")] = path
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for path := range ld.dirs {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		if _, err := ld.Import(path); err != nil {
+			var noGo *build.NoGoError
+			if !errors.As(err, &noGo) {
+				t.Fatalf("type-check %s (tags %v): %v", path, tags, err)
+			}
+		}
+	}
+
+	// The interfaces a call may go through: those declared in the
+	// repository and in the packages it imports, error, and inline ones.
+	var ifaces []*types.Interface
+	addScope := func(pkg *types.Package) {
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 {
+					if it, ok := n.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && it.IsMethodSet() {
+						ifaces = append(ifaces, it)
+					}
+				}
+			}
+		}
+	}
+	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	imported := map[*types.Package]bool{}
+	for _, path := range paths {
+		if pkg := ld.pkgs[path]; pkg != nil {
+			imported[pkg] = true
+			for _, imp := range pkg.Imports() {
+				imported[imp] = true
+			}
+		}
+	}
+	for pkg := range imported {
+		addScope(pkg)
+	}
+	for _, tv := range ld.info.Types {
+		if it, ok := tv.Type.(*types.Interface); ok && it.NumMethods() > 0 && it.IsMethodSet() {
+			ifaces = append(ifaces, it)
+		}
+	}
+	viaInterface := func(recv *types.Named, method string) bool {
+		if recv.TypeParams().Len() > 0 {
+			return false
+		}
+		for _, it := range ifaces {
+			for i := 0; i < it.NumMethods(); i++ {
+				if it.Method(i).Name() == method &&
+					(types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it)) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
+	usedObj := map[types.Object]bool{}
+	for _, obj := range ld.info.Uses {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		usedObj[obj] = true
+	}
+	decls := map[string]token.Pos{}
+	used := map[string]bool{}
+	for _, path := range paths {
+		pkg := ld.pkgs[path]
+		if pkg == nil || !strings.HasPrefix(path, modPath+"/internal/") {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			obj := pkg.Scope().Lookup(name)
+			if obj.Exported() {
+				key := pkg.Name() + "." + name
+				decls[key] = obj.Pos()
+				used[key] = usedObj[obj]
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				m := named.Method(i)
+				if !m.Exported() {
+					continue
+				}
+				key := pkg.Name() + "." + name + "." + m.Name()
+				decls[key] = m.Pos()
+				used[key] = usedObj[m] || viaInterface(named, m.Name())
+			}
+		}
+	}
+	return decls, used
+}
+
+// programLoader type-checks the repository's packages from their non-test
+// files, importing the standard library through std, and records every
+// identifier use in one types.Info.
+type programLoader struct {
+	fset *token.FileSet
+	std  types.Importer
+	ctxt build.Context
+	dirs map[string]string // import path -> directory, for the repository's packages
+	pkgs map[string]*types.Package
+	info *types.Info
+}
+
+func (ld *programLoader) Import(path string) (*types.Package, error) {
+	dir, ok := ld.dirs[path]
+	if !ok {
+		return ld.std.Import(path)
+	}
+	if pkg, ok := ld.pkgs[path]; ok {
+		return pkg, nil
+	}
+	bp, err := ld.ctxt.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: ld}
+	pkg, err := conf.Check(path, ld.fset, files, ld.info)
+	if err != nil {
+		return nil, err
+	}
+	ld.pkgs[path] = pkg
+	return pkg, nil
 }

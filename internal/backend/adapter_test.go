@@ -112,7 +112,7 @@ func TestClusterPartialChunkAvailability(t *testing.T) {
 
 			// Drop m chunks: still decodable.
 			for idx := 0; idx < c.Codec().M(); idx++ {
-				if !c.Store(locs[idx]).Delete(ChunkID{Key: "obj", Index: idx}) {
+				if !dropChunk(c.Store(locs[idx]), ChunkID{Key: "obj", Index: idx}) {
 					t.Fatalf("chunk %d not present to delete", idx)
 				}
 			}
@@ -145,7 +145,7 @@ func TestClusterPartialChunkAvailability(t *testing.T) {
 
 			// Drop one more: past redundancy, the object is gone.
 			m := c.Codec().M()
-			if !c.Store(locs[m]).Delete(ChunkID{Key: "obj", Index: m}) {
+			if !dropChunk(c.Store(locs[m]), ChunkID{Key: "obj", Index: m}) {
 				t.Fatalf("chunk %d not present to delete", m)
 			}
 			if _, err := c.GetObject("obj"); err == nil {

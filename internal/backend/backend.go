@@ -107,23 +107,6 @@ func (s *Store) GetMulti(key string, indices []int) (map[int][]byte, error) {
 	return s.blob.GetChunks(context.Background(), s.bucket, key, indices)
 }
 
-// Delete removes a chunk and reports whether it was present. Deletes are
-// an operator action, not a data-path read, so the down flag does not gate
-// them — matching the original in-memory semantics. An adapter failure
-// reads as "absent"; callers that must distinguish (the live store
-// server's delete op) use DeleteChecked.
-func (s *Store) Delete(id ChunkID) bool {
-	ok, _ := s.DeleteChecked(id)
-	return ok
-}
-
-// DeleteChecked removes a chunk, reporting both whether it was present and
-// any adapter error — so a remote tier's transient failure is not silently
-// mistaken for a no-op that leaves an orphan chunk behind.
-func (s *Store) DeleteChecked(id ChunkID) (bool, error) {
-	return s.blob.DeleteChunk(context.Background(), s.bucket, id.blobID())
-}
-
 // Len returns the number of stored chunks (0 when the adapter errors; use
 // StatsChecked to distinguish).
 func (s *Store) Len() int {

@@ -2,6 +2,7 @@ package backend
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -20,6 +21,27 @@ func newTestCluster(t *testing.T) *Cluster {
 	}
 	placement := geo.NewRoundRobin(geo.DefaultRegions(), false)
 	return NewCluster(geo.DefaultRegions(), codec, placement)
+}
+
+// dropChunk removes one chunk straight from the store's blob adapter, the
+// way a lost disk loses it, and reports whether it was present.
+func dropChunk(s *Store, id ChunkID) bool {
+	ok, _ := s.blob.DeleteChunk(context.Background(), s.bucket, id.blobID())
+	return ok
+}
+
+// getVer reads one chunk with its write version (zero for keys outside
+// the versioned path) through the batched versioned read.
+func getVer(s *Store, id ChunkID) ([]byte, uint64, error) {
+	found, vers, _, err := s.GetMultiVer(id.Key, []int{id.Index})
+	if err != nil {
+		return nil, 0, err
+	}
+	data, ok := found[id.Index]
+	if !ok {
+		return nil, 0, ErrNotFound
+	}
+	return data, vers[id.Index], nil
 }
 
 func TestStorePutGetDelete(t *testing.T) {
@@ -46,7 +68,7 @@ func TestStorePutGetDelete(t *testing.T) {
 	if !bytes.Equal(fresh, []byte("chunk")) {
 		t.Fatal("store shares storage with callers")
 	}
-	if !s.Delete(id) || s.Delete(id) {
+	if !dropChunk(s, id) || dropChunk(s, id) {
 		t.Fatal("delete semantics wrong")
 	}
 }

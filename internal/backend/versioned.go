@@ -185,26 +185,8 @@ func (s *Store) PutMultiVer(key string, chunks map[int][]byte, ver uint64) error
 	return s.raiseVersion(key, ver)
 }
 
-// GetVer returns a chunk's bytes and the version it was written at (zero
-// for keys outside the versioned path).
-func (s *Store) GetVer(id ChunkID) ([]byte, uint64, error) {
-	floor, err := s.VersionOf(id.Key)
-	if err != nil {
-		return nil, 0, err
-	}
-	data, err := s.Get(id)
-	if err != nil {
-		return nil, 0, err
-	}
-	if floor == 0 {
-		return data, 0, nil
-	}
-	payload, ver := unframeVersioned(data)
-	return payload, ver, nil
-}
-
-// GetMultiVer is the batched GetVer: it reads the key's version floor
-// first (so the reported floor is never newer than the chunk data that
+// GetMultiVer reads chunks of one key with their write versions: it reads
+// the key's version floor first (so the reported floor is never newer than the chunk data that
 // follows), then fetches whichever requested chunks exist. It returns the
 // chunks keyed by index, their per-chunk versions (nil when the key is
 // unversioned), and the floor.

@@ -98,7 +98,7 @@ func TestVersionedWriteThroughDurability(t *testing.T) {
 			if ver, err := s2.VersionOf("obj"); err != nil || ver != v1 {
 				t.Fatalf("reopened VersionOf = %d, %v", ver, err)
 			}
-			data, ver, err := s2.GetVer(ChunkID{Key: "obj", Index: 1})
+			data, ver, err := getVer(s2, ChunkID{Key: "obj", Index: 1})
 			if err != nil || ver != v1 || !bytes.Equal(data, chunks[1]) {
 				t.Fatalf("reopened GetVer = %q v%d, %v", data, ver, err)
 			}
@@ -107,7 +107,7 @@ func TestVersionedWriteThroughDurability(t *testing.T) {
 			if err := s.Put(ChunkID{Key: "legacy", Index: 0}, []byte("raw-bytes")); err != nil {
 				t.Fatal(err)
 			}
-			data, ver, err = s.GetVer(ChunkID{Key: "legacy", Index: 0})
+			data, ver, err = getVer(s, ChunkID{Key: "legacy", Index: 0})
 			if err != nil || ver != 0 || !bytes.Equal(data, []byte("raw-bytes")) {
 				t.Fatalf("legacy GetVer = %q v%d, %v", data, ver, err)
 			}
@@ -154,7 +154,7 @@ func TestVersionedMonotonicity(t *testing.T) {
 			if err := s2.PutVer(ChunkID{Key: "obj", Index: 0}, []byte("old"), v1); !errors.Is(err, ErrStale) {
 				t.Fatalf("stale put after reopen: %v", err)
 			}
-			data, ver, err := s2.GetVer(ChunkID{Key: "obj", Index: 0})
+			data, ver, err := getVer(s2, ChunkID{Key: "obj", Index: 0})
 			if err != nil || ver != v3 || !bytes.Equal(data, []byte("newest")) {
 				t.Fatalf("after reopen: %q v%d, %v", data, ver, err)
 			}
@@ -200,7 +200,7 @@ func TestVersionedInvalidationSurvivesReopen(t *testing.T) {
 			if err := s2.PutVer(ChunkID{Key: "obj", Index: 0}, []byte("reborn"), v3); err != nil {
 				t.Fatal(err)
 			}
-			data, ver, err := s2.GetVer(ChunkID{Key: "obj", Index: 0})
+			data, ver, err := getVer(s2, ChunkID{Key: "obj", Index: 0})
 			if err != nil || ver != v3 || !bytes.Equal(data, []byte("reborn")) {
 				t.Fatalf("rebirth: %q v%d, %v", data, ver, err)
 			}

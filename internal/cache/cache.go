@@ -87,10 +87,6 @@ type Stats struct {
 	FullRejects int64
 }
 
-// Rejected returns the total refused inserts, both admission-filter drops
-// and policy refusals.
-func (s Stats) Rejected() int64 { return s.AdmissionRejects + s.FullRejects }
-
 // counters is the shard-local atomic form of Stats: shards bump counters
 // without coordinating, and Stats() folds them lock-free.
 type counters struct {

@@ -16,7 +16,7 @@
 //     digests plug into the cache manager's knapsack accounting exactly
 //     like a local simulated peer cache.
 //   - A Table collects the mirrors of every peer a node hears from, plus
-//     the peer-read counters a cache server reports through OpStats.
+//     the peer-read counters a cache server exports on /metrics.
 //
 // Mirrors are advisory by construction: a peer may evict a chunk between
 // digests, so every peer read must tolerate a miss and fall back to the

@@ -33,7 +33,7 @@ func TestMirrorApplyDelta(t *testing.T) {
 		t.Fatal("delta applied to empty mirror")
 	}
 
-	if !m.Apply(10, map[string][]int{"a": {0, 1}, "b": {2}}) {
+	if !m.ApplyVer(10, map[string][]int{"a": {0, 1}, "b": {2}}, nil) {
 		t.Fatal("full digest rejected")
 	}
 	// Delta at the right base: change a, remove b, add c.
@@ -83,7 +83,7 @@ func TestPaginateDeltaEmptyStillAdvances(t *testing.T) {
 		t.Fatalf("frames = %+v", frames)
 	}
 	m := NewMirror("fra")
-	m.Apply(4, map[string][]int{"a": {0}})
+	m.ApplyVer(4, map[string][]int{"a": {0}}, nil)
 	if !m.ApplyDeltaVer(frames[0].Seq, frames[0].Base, frames[0].Groups, nil) {
 		t.Fatal("empty delta rejected")
 	}
@@ -112,7 +112,7 @@ func (s *seqTarget) SendDigest(d Digest) error {
 			if !s.mirror.ApplyDeltaVer(d.Seq, d.Base, d.Groups, nil) {
 				return errFail
 			}
-		} else if !s.mirror.Apply(d.Seq, d.Groups) {
+		} else if !s.mirror.ApplyVer(d.Seq, d.Groups, nil) {
 			return errFail
 		}
 	}

@@ -37,9 +37,6 @@ func NewMirror(region string) *Mirror {
 	}
 }
 
-// Region returns the peer region this mirror tracks.
-func (m *Mirror) Region() string { return m.region }
-
 // SetClock replaces the clock Age measures against (default time.Now).
 // Simulated deployments inject their virtual clock here so digest ages —
 // and the digest_age_ms stat derived from them — advance with simulated
@@ -52,18 +49,14 @@ func (m *Mirror) SetClock(now func() time.Time) {
 	}
 }
 
-// Apply folds one digest frame in. A frame with a higher sequence replaces
-// the whole view (the first page of a new snapshot); frames sharing the
-// current sequence merge (later pages); lower sequences are rejected as
-// stale. It reports whether the frame was applied.
-func (m *Mirror) Apply(seq int64, groups map[string][]int) bool {
-	return m.ApplyVer(seq, groups, nil)
-}
-
-// ApplyVer is Apply with the frame's per-key write versions: applied keys
-// record the version the peer advertised (absent entries clear it), so
-// VersionOf answers how fresh the peer's copy of a key is — the signal
-// that lets a reader skip a peer whose copy predates a known write.
+// ApplyVer folds one digest frame in. A frame with a higher sequence
+// replaces the whole view (the first page of a new snapshot); frames
+// sharing the current sequence merge (later pages); lower sequences are
+// rejected as stale. It reports whether the frame was applied. Applied keys
+// record the per-key write version the peer advertised (absent entries, or
+// a nil keyVers, clear it), so VersionOf answers how fresh the peer's copy
+// of a key is — the signal that lets a reader skip a peer whose copy
+// predates a known write.
 func (m *Mirror) ApplyVer(seq int64, groups map[string][]int, keyVers map[string]uint64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -9,8 +9,8 @@ import (
 
 // Table holds a node's mirrors of every peer it hears digests from, plus
 // the peer-read counters its cache server reports. A cache server owns one
-// Table: incoming OpDigest frames apply here, and OpStats folds the
-// table's counters in.
+// Table: incoming OpDigest frames apply here, and its /metrics families
+// read the table's counters.
 type Table struct {
 	mu      sync.Mutex
 	mirrors map[string]*Mirror
@@ -86,18 +86,6 @@ func (t *Table) Apply(d Digest) bool {
 		t.stale.Add(1)
 	}
 	return ok
-}
-
-// VersionOf returns the write version a peer region last advertised for a
-// key (zero when the region is unknown or advertised none).
-func (t *Table) VersionOf(region, key string) uint64 {
-	t.mu.Lock()
-	m := t.mirrors[region]
-	t.mu.Unlock()
-	if m == nil {
-		return 0
-	}
-	return m.VersionOf(key)
 }
 
 // RecordPeerRead accounts one batched read from a remote peer's client:

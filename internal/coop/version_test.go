@@ -113,7 +113,7 @@ func TestAdvertiserVersionDelta(t *testing.T) {
 	if adv.Advertise() != 0 {
 		t.Fatal("first advertise failed")
 	}
-	if got := table.VersionOf("tokyo", "obj"); got != 100 {
+	if got := table.Mirror("tokyo").VersionOf("obj"); got != 100 {
 		t.Fatalf("after full digest: %d", got)
 	}
 
@@ -125,7 +125,7 @@ func TestAdvertiserVersionDelta(t *testing.T) {
 	if adv.DeltaPushes() != 1 {
 		t.Fatalf("version bump did not travel as a delta (deltas=%d)", adv.DeltaPushes())
 	}
-	if got := table.VersionOf("tokyo", "obj"); got != 250 {
+	if got := table.Mirror("tokyo").VersionOf("obj"); got != 250 {
 		t.Fatalf("after delta: %d", got)
 	}
 }

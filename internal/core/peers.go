@@ -43,9 +43,6 @@ func (n *Node) AddPeer(region geo.RegionID, store ChunkResidency, latency time.D
 	n.manager.addPeer(PeerInfo{Region: region, Store: store, Latency: latency})
 }
 
-// Peers returns the node's cooperative peers.
-func (n *Node) Peers() []PeerInfo { return n.manager.Peers() }
-
 func (cm *CacheManager) addPeer(p PeerInfo) {
 	cm.mu.Lock()
 	defer cm.mu.Unlock()

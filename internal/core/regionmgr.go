@@ -44,13 +44,6 @@ func NewRegionManager(client geo.RegionID, regions []geo.RegionID, placement geo
 // Client returns the region this manager serves.
 func (rm *RegionManager) Client() geo.RegionID { return rm.client }
 
-// Regions returns the topology's regions.
-func (rm *RegionManager) Regions() []geo.RegionID {
-	out := make([]geo.RegionID, len(rm.regions))
-	copy(out, rm.regions)
-	return out
-}
-
 // Observe folds one measured chunk-read latency from the region into the
 // estimate (EWMA); the first observation seeds it directly.
 func (rm *RegionManager) Observe(region geo.RegionID, d time.Duration) {

@@ -123,13 +123,6 @@ func (m *LatencyMatrix) Row(from RegionID) []time.Duration {
 	return out
 }
 
-// Clone returns a deep copy.
-func (m *LatencyMatrix) Clone() *LatencyMatrix {
-	out := NewLatencyMatrix(m.n)
-	copy(out.d, m.d)
-	return out
-}
-
 // TableI returns the per-region chunk read latencies from the point of view
 // of Frankfurt exactly as reported in the paper's Table I. These values are
 // used by the paper's worked example in §IV-A.

@@ -241,7 +241,7 @@ func TestServerPoolNoLeak(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		chunks[i] = bytes.Repeat([]byte{byte(i)}, 512)
 	}
-	if err := remote.PutMulti("obj", chunks); err != nil {
+	if err := remote.PutMultiVer("obj", chunks, 0); err != nil {
 		t.Fatal(err)
 	}
 	indices := make([]int, 0, len(chunks))
@@ -249,16 +249,16 @@ func TestServerPoolNoLeak(t *testing.T) {
 		indices = append(indices, i)
 	}
 	for round := 0; round < 20; round++ {
-		if _, err := remote.Get(cache.EntryID{Key: "obj", Index: round % 32}); err != nil {
+		if _, err := cacheGet(remote, cache.EntryID{Key: "obj", Index: round % 32}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := remote.Get(cache.EntryID{Key: "missing", Index: 0}); err != cache.ErrNotFound {
+		if _, err := cacheGet(remote, cache.EntryID{Key: "missing", Index: 0}); err != cache.ErrNotFound {
 			t.Fatalf("miss err = %v", err)
 		}
 		if _, err := remote.GetMulti("obj", indices); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.GetMulti("obj", indices[:4]); err != nil {
+		if _, err := pipeMGet(p, "obj", indices[:4]); err != nil {
 			t.Fatal(err)
 		}
 		// An op the server rejects exercises the error-reply path.

@@ -23,7 +23,7 @@ func TestRemoteCacheBatchRoundTrip(t *testing.T) {
 	defer remote.Close()
 
 	chunks := map[int][]byte{0: []byte("aa"), 3: []byte("bbb"), 7: []byte("c")}
-	if err := remote.PutMulti("obj", chunks); err != nil {
+	if err := remote.PutMultiVer("obj", chunks, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Ask for a superset: absent indices must simply be missing.
@@ -49,7 +49,7 @@ func TestRemoteCacheBatchRoundTrip(t *testing.T) {
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty mget: got %v err %v", got, err)
 	}
-	if err := remote.PutMulti("obj", nil); err != nil {
+	if err := remote.PutMultiVer("obj", nil, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -65,7 +65,7 @@ func TestRemoteCacheBatchRespectsAdmission(t *testing.T) {
 	remote := NewRemoteCache(srv.Addr())
 	defer remote.Close()
 
-	if err := remote.PutMulti("obj", map[int][]byte{0: {1}, 1: {2}, 2: {3}, 3: {4}}); err != nil {
+	if err := remote.PutMultiVer("obj", map[int][]byte{0: {1}, 1: {2}, 2: {3}, 3: {4}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	got, err := remote.GetMulti("obj", []int{0, 1, 2, 3})
@@ -75,20 +75,12 @@ func TestRemoteCacheBatchRespectsAdmission(t *testing.T) {
 	if len(got) != 2 || got[1] != nil || got[3] != nil {
 		t.Fatalf("admission ignored by batch put: %v", got)
 	}
-	stats, err := remote.Stats()
-	if err != nil {
-		t.Fatal(err)
+	stats := c.Stats()
+	if stats.AdmissionRejects != 2 || stats.AdmissionRejects+stats.FullRejects != 2 || stats.FullRejects != 0 {
+		t.Fatalf("reject counters wrong: %+v", stats)
 	}
-	for _, field := range []string{"rejected", "admission_rejects", "full_rejects", "capacity", "used", "shards"} {
-		if _, ok := stats[field]; !ok {
-			t.Errorf("stats missing %q: %v", field, stats)
-		}
-	}
-	if stats["admission_rejects"] != 2 || stats["rejected"] != 2 || stats["full_rejects"] != 0 {
-		t.Fatalf("reject counters wrong: %v", stats)
-	}
-	if stats["capacity"] != 1<<20 {
-		t.Fatalf("capacity = %d", stats["capacity"])
+	if c.Capacity() != 1<<20 {
+		t.Fatalf("capacity = %d", c.Capacity())
 	}
 }
 
@@ -113,7 +105,7 @@ func TestRemoteCachePoolServesConcurrentCallers(t *testing.T) {
 				key := fmt.Sprintf("k%d", rng.Intn(8))
 				switch rng.Intn(3) {
 				case 0:
-					if err := remote.PutMulti(key, map[int][]byte{rng.Intn(4): {byte(i)}, 4 + rng.Intn(4): {byte(g)}}); err != nil {
+					if err := remote.PutMultiVer(key, map[int][]byte{rng.Intn(4): {byte(i)}, 4 + rng.Intn(4): {byte(g)}}, 0); err != nil {
 						errs <- err
 						return
 					}
@@ -123,7 +115,7 @@ func TestRemoteCachePoolServesConcurrentCallers(t *testing.T) {
 						return
 					}
 				case 2:
-					if _, err := remote.Get(cache.EntryID{Key: key, Index: rng.Intn(8)}); err != nil && err != cache.ErrNotFound {
+					if _, err := cacheGet(remote, cache.EntryID{Key: key, Index: rng.Intn(8)}); err != nil && err != cache.ErrNotFound {
 						errs <- err
 						return
 					}
@@ -266,7 +258,7 @@ func BenchmarkRemoteCachePerChunk(b *testing.B) {
 		for pb.Next() {
 			key := fmt.Sprintf("obj%d", i%64)
 			for idx := 0; idx < 9; idx++ {
-				if _, err := remote.Get(cache.EntryID{Key: key, Index: idx}); err != nil {
+				if _, err := cacheGet(remote, cache.EntryID{Key: key, Index: idx}); err != nil {
 					b.Error(err)
 					return
 				}
@@ -322,7 +314,7 @@ func BenchmarkRemoteStorePooled(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, err := remote.Get(backend.ChunkID{Key: fmt.Sprintf("k%d", i%64), Index: 0}); err != nil {
+			if _, err := storeGet(remote, backend.ChunkID{Key: fmt.Sprintf("k%d", i%64), Index: 0}); err != nil {
 				b.Error(err)
 				return
 			}

@@ -753,7 +753,7 @@ func (r *NetworkReader) readDetailed(key string, floor uint64) ([]byte, ReadInfo
 	}
 
 	// Hand hinted-but-missed chunks to the async population pool: the fill
-	// happens off the read path, batched into one PutMulti per object and
+	// happens off the read path, batched into one PutMultiVer per object and
 	// tagged with the version the chunks were read at so a fill racing a
 	// newer write is refused by the server's floor instead of resurrecting
 	// pre-write chunks.

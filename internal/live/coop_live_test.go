@@ -115,23 +115,11 @@ func TestPeeredClustersCoopSmoke(t *testing.T) {
 	}
 
 	// The peer's cache server accounted the cooperative traffic.
-	dubCache := NewRemoteCache(dub.CacheAddr())
-	defer dubCache.Close()
-	stats, err := dubCache.Stats()
-	if err != nil {
-		t.Fatal(err)
+	if hits, misses := dub.CoopTable().PeerReads(); hits == 0 {
+		t.Fatalf("peer cache server reported no peer hits (misses %d)", misses)
 	}
-	if stats["peer_hits"] == 0 {
-		t.Fatalf("peer cache server reported no peer hits: %v", stats)
-	}
-	fraCache := NewRemoteCache(fra.CacheAddr())
-	defer fraCache.Close()
-	fstats, err := fraCache.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := fstats["digest_age_ms"]; !ok {
-		t.Fatalf("frankfurt cache server reports no digest age: %v", fstats)
+	if _, ok := fra.CoopTable().StalestAge(); !ok {
+		t.Fatal("frankfurt cache server reports no digest age")
 	}
 }
 
@@ -168,73 +156,8 @@ func TestPeerStaleDigestFallsBackToStores(t *testing.T) {
 		t.Fatalf("peer chunks reported after peer wipe: %+v", info)
 	}
 
-	dubCache := NewRemoteCache(dub.CacheAddr())
-	defer dubCache.Close()
-	stats, err := dubCache.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats["peer_misses"] == 0 {
-		t.Fatalf("peer cache server reported no peer misses: %v", stats)
-	}
-}
-
-// TestHintMultiBatchesRoundTrips checks OpMHint end to end against a live
-// cluster: one frame resolves several keys, equals the single-key answers,
-// and records one monitored access per key.
-func TestHintMultiBatchesRoundTrips(t *testing.T) {
-	cluster, err := StartCluster(ClusterConfig{
-		ClientRegion: geo.Frankfurt,
-		CacheBytes:   90 * 2048,
-		ChunkBytes:   2048,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-
-	hinter := NewRemoteHinter(cluster.HintAddr())
-	defer hinter.Close()
-
-	keys := []string{"obj-a", "obj-b", "obj-c"}
-	for i := 0; i < 20; i++ {
-		if _, err := hinter.HintMulti(keys); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, k := range keys {
-		if got := cluster.Node().Monitor().CurrentFrequency(k); got != 20 {
-			t.Fatalf("mhint recorded %d accesses for %q, want 20", got, k)
-		}
-	}
-	cluster.Node().ForceReconfigure()
-
-	multi, err := hinter.HintMulti(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(multi) != len(keys) {
-		t.Fatalf("mhint answered %d of %d keys: %v", len(multi), len(keys), multi)
-	}
-	for _, k := range keys {
-		single, err := hinter.Hint(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(single) != len(multi[k]) {
-			t.Fatalf("key %q: single hint %v != batched %v", k, single, multi[k])
-		}
-	}
-
-	if got, err := hinter.HintMulti(nil); err != nil || len(got) != 0 {
-		t.Fatalf("empty mhint: %v %v", got, err)
-	}
-	big := make([]string, 300)
-	for i := range big {
-		big[i] = fmt.Sprintf("k-%d", i)
-	}
-	if _, err := hinter.HintMulti(big); err == nil {
-		t.Fatal("over-limit mhint accepted")
+	if hits, misses := dub.CoopTable().PeerReads(); misses == 0 {
+		t.Fatalf("peer cache server reported no peer misses (hits %d)", hits)
 	}
 }
 

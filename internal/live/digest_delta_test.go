@@ -41,14 +41,8 @@ func TestDigestDeltasFlowBetweenPeeredClusters(t *testing.T) {
 	}
 
 	// The serving cache server counted the delta frame.
-	fraCache := NewRemoteCache(fra.CacheAddr())
-	defer fraCache.Close()
-	stats, err := fraCache.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats["digest_deltas"] == 0 {
-		t.Fatalf("peer cache server reports no digest deltas: %v", stats)
+	if n := fra.CoopTable().Deltas(); n == 0 {
+		t.Fatal("peer cache server reports no digest deltas")
 	}
 
 	// A third, no-change push still lands (age refresh) as a delta.

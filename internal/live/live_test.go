@@ -14,7 +14,39 @@ import (
 	"github.com/agardist/agar/internal/core"
 	"github.com/agardist/agar/internal/geo"
 	"github.com/agardist/agar/internal/netsim"
+	"github.com/agardist/agar/internal/wire"
 )
+
+// cacheGet fetches one chunk over the cache server's single-chunk get, the
+// op agar-bench's probe and load generator send.
+func cacheGet(c *RemoteCache, id cache.EntryID) ([]byte, error) {
+	resp, err := c.rc.call(wire.Message{Header: wire.Header{Op: wire.OpGet, Key: id.Key, Index: id.Index}})
+	if err != nil {
+		return nil, err
+	}
+	if resp.Header.Op == wire.OpNotFound {
+		return nil, cache.ErrNotFound
+	}
+	return resp.Body, nil
+}
+
+// storeGet fetches one chunk through the store server's batched read.
+func storeGet(s *RemoteStore, id backend.ChunkID) ([]byte, error) {
+	found, err := s.GetMulti(id.Key, []int{id.Index})
+	if err != nil {
+		return nil, err
+	}
+	data, ok := found[id.Index]
+	if !ok {
+		return nil, backend.ErrNotFound
+	}
+	return data, nil
+}
+
+// cachePut inserts one unversioned chunk through the cache server's mput.
+func cachePut(c *RemoteCache, id cache.EntryID, data []byte) error {
+	return c.PutMultiVer(id.Key, map[int][]byte{id.Index: data}, 0)
+}
 
 func TestStoreServerRoundTrip(t *testing.T) {
 	store := backend.NewStore(geo.Frankfurt)
@@ -28,20 +60,19 @@ func TestStoreServerRoundTrip(t *testing.T) {
 	defer remote.Close()
 
 	id := backend.ChunkID{Key: "obj", Index: 3}
-	if _, err := remote.Get(id); err != backend.ErrNotFound {
+	if _, err := storeGet(remote, id); err != backend.ErrNotFound {
 		t.Fatalf("missing chunk: err = %v", err)
 	}
 	data := []byte("chunk-payload")
-	if err := remote.Put(id, data); err != nil {
+	if err := remote.PutVer(id, data, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := remote.Get(id)
+	got, err := storeGet(remote, id)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("got %q err %v", got, err)
 	}
-	stats, err := remote.Stats()
-	if err != nil || stats["chunks"] != 1 {
-		t.Fatalf("stats %v err %v", stats, err)
+	if n := store.Len(); n != 1 {
+		t.Fatalf("store holds %d chunks, want 1", n)
 	}
 }
 
@@ -57,36 +88,33 @@ func TestCacheServerRoundTrip(t *testing.T) {
 	defer remote.Close()
 
 	id := cache.EntryID{Key: "obj", Index: 4}
-	if _, err := remote.Get(id); err != cache.ErrNotFound {
+	if _, err := cacheGet(remote, id); err != cache.ErrNotFound {
 		t.Fatalf("err = %v", err)
 	}
-	if err := remote.Put(id, []byte("cc")); err != nil {
+	if err := cachePut(remote, id, []byte("cc")); err != nil {
 		t.Fatal(err)
 	}
-	if err := remote.Put(cache.EntryID{Key: "obj", Index: 9}, []byte("dd")); err != nil {
+	if err := cachePut(remote, cache.EntryID{Key: "obj", Index: 9}, []byte("dd")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := remote.Get(id)
+	got, err := cacheGet(remote, id)
 	if err != nil || string(got) != "cc" {
 		t.Fatalf("got %q err %v", got, err)
 	}
-	idxs, err := remote.IndicesOf("obj")
-	if err != nil || len(idxs) != 2 {
-		t.Fatalf("indices %v err %v", idxs, err)
+	if idxs := c.IndicesOf("obj"); len(idxs) != 2 {
+		t.Fatalf("indices %v", idxs)
 	}
-	snap, err := remote.Snapshot()
-	if err != nil || len(snap["obj"]) != 2 {
-		t.Fatalf("snapshot %v err %v", snap, err)
+	if err := remote.DeleteObjectVer("obj", 0); err == nil {
+		t.Fatal("unversioned delobj accepted")
 	}
-	if err := remote.DeleteObject("obj"); err != nil {
+	if err := remote.DeleteObjectVer("obj", 1); err != nil {
 		t.Fatal(err)
 	}
-	if idxs, _ := remote.IndicesOf("obj"); len(idxs) != 0 {
+	if idxs := c.IndicesOf("obj"); len(idxs) != 0 {
 		t.Fatal("delete object failed")
 	}
-	stats, err := remote.Stats()
-	if err != nil || stats["sets"] != 2 {
-		t.Fatalf("stats %v err %v", stats, err)
+	if sets := c.Stats().Sets; sets != 2 {
+		t.Fatalf("sets = %d, want 2", sets)
 	}
 }
 
@@ -264,17 +292,17 @@ func TestServerCloseIsIdempotentAndUnblocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	remote := NewRemoteStore(srv.Addr())
-	remote.Put(backend.ChunkID{Key: "x", Index: 0}, []byte("1"))
+	remote.PutVer(backend.ChunkID{Key: "x", Index: 0}, []byte("1"), 0)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { defer wg.Done(); srv.Close() }()
 	go func() { defer wg.Done(); srv.Close() }()
 	wg.Wait()
 	// Further calls fail cleanly rather than hanging.
-	if err := remote.Put(backend.ChunkID{Key: "y", Index: 0}, []byte("2")); err == nil {
+	if err := remote.PutVer(backend.ChunkID{Key: "y", Index: 0}, []byte("2"), 0); err == nil {
 		// The write may be buffered before the close lands; a subsequent
 		// round trip must fail.
-		if _, err := remote.Get(backend.ChunkID{Key: "y", Index: 0}); err == nil {
+		if _, err := storeGet(remote, backend.ChunkID{Key: "y", Index: 0}); err == nil {
 			t.Fatal("server still serving after Close")
 		}
 	}

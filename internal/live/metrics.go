@@ -19,9 +19,9 @@ import (
 // label.
 type ServerOptions struct {
 	// Registry receives the server's metrics families. Nil creates a
-	// private registry: metrics are still collected (the wire stats op
-	// reads them) but no /metrics endpoint sees them unless the caller
-	// serves Registry.Handler somewhere.
+	// private registry: metrics are still collected but no /metrics
+	// endpoint sees them unless the caller serves Registry.Handler
+	// somewhere.
 	Registry *metrics.Registry
 	// Region labels this server's metric families — one store server per
 	// region shares a cluster registry without colliding. Empty is fine
@@ -42,25 +42,15 @@ type ServerOptions struct {
 	Versions *coherence.VersionTable
 }
 
-// statSource maps one legacy wire-level OpStats key onto the registry
-// child that backs it. The stats op and the /metrics exposition read the
-// same children, so the two surfaces can never disagree.
-type statSource struct {
-	key  string
-	read func() (int64, bool) // ok=false omits the key (e.g. digest age before any digest)
-}
-
 // serverMetrics is one server's instrumentation: pre-interned per-opcode
 // latency histogram children (no per-op allocation or lock on the hot
-// path) plus the stat sources the wire stats op is built from. A nil
-// *serverMetrics disables hot-path timing entirely — the paired-benchmark
-// baseline.
+// path) plus the versioned write-path counters. A nil *serverMetrics
+// disables hot-path timing entirely — the paired-benchmark baseline.
 type serverMetrics struct {
 	queueWait map[string]*metrics.Histogram
 	exec      map[string]*metrics.Histogram
 	qwOther   *metrics.Histogram
 	exOther   *metrics.Histogram
-	stats     []statSource
 
 	// Versioned write-path instrumentation (nil on servers that never see
 	// versioned traffic is fine — the helpers are nil-safe).
@@ -116,23 +106,6 @@ func (m *serverMetrics) observe(op string, exec time.Duration, traceID string) {
 	eh.ObserveDurationExemplar(exec, traceID)
 }
 
-// statsMap builds the wire-level OpStats payload from the registry-backed
-// sources, preserving the historical key names byte for byte.
-func (m *serverMetrics) statsMap() map[string]int64 {
-	out := make(map[string]int64, len(m.stats))
-	for _, s := range m.stats {
-		if v, ok := s.read(); ok {
-			out[s.key] = v
-		}
-	}
-	return out
-}
-
-// always wraps an int64 reader as an always-present stat source value.
-func always(fn func() int64) func() (int64, bool) {
-	return func() (int64, bool) { return fn(), true }
-}
-
 // internOps pre-interns the queue-wait and execute histogram children for
 // a server's known opcodes plus the "other" fallback.
 func (m *serverMetrics) internOps(reg *metrics.Registry, server, region string, ops []string) {
@@ -159,86 +132,60 @@ func (m *serverMetrics) internOps(reg *metrics.Registry, server, region string, 
 func newCacheServerMetrics(reg *metrics.Registry, region string, c *cache.Cache, table *coop.Table, depth *atomic.Int64) *serverMetrics {
 	m := &serverMetrics{}
 	m.internOps(reg, "cache", region, []string{
-		wire.OpGet, wire.OpPut, wire.OpMGet, wire.OpMPut, wire.OpDelete,
-		wire.OpDelObj, wire.OpIndices, wire.OpSnapshot, wire.OpDigest, wire.OpStats,
+		wire.OpGet, wire.OpMGet, wire.OpMPut, wire.OpDelObj, wire.OpDigest,
 	})
 
 	stat := func(sel func(cache.Stats) int64) func() int64 {
 		return func() int64 { return sel(c.Stats()) }
 	}
-	counters := []struct {
-		name, help, key string
-		read            func() int64
-	}{
-		{metrics.NameCacheGets, "Chunk lookups.", "gets", stat(func(s cache.Stats) int64 { return s.Gets })},
-		{metrics.NameCacheHits, "Chunk lookups that found the chunk.", "hits", stat(func(s cache.Stats) int64 { return s.Hits })},
-		{metrics.NameCacheSets, "Successful inserts, including overwrites.", "sets", stat(func(s cache.Stats) int64 { return s.Sets })},
-		{metrics.NameCacheEvictions, "Entries evicted to make room.", "evictions", stat(func(s cache.Stats) int64 { return s.Evictions })},
-		{metrics.NameCacheAdmissionRejects, "Inserts dropped by the admission filter.", "admission_rejects", stat(func(s cache.Stats) int64 { return s.AdmissionRejects })},
-		{metrics.NameCacheFullRejects, "Inserts refused by a full shard whose policy declined eviction.", "full_rejects", stat(func(s cache.Stats) int64 { return s.FullRejects })},
+	// funcFamily is one function-backed family: a counter, or a gauge.
+	type funcFamily struct {
+		counter    bool
+		name, help string
+		read       func() int64
 	}
-	for _, cnt := range counters {
-		cnt := cnt
-		reg.NewCounterFuncVec(cnt.name, cnt.help, "server", "region").
-			Bind(func() float64 { return float64(cnt.read()) }, "cache", region)
-		m.stats = append(m.stats, statSource{cnt.key, always(cnt.read)})
+	funcs := []funcFamily{
+		{true, metrics.NameCacheGets, "Chunk lookups.", stat(func(s cache.Stats) int64 { return s.Gets })},
+		{true, metrics.NameCacheHits, "Chunk lookups that found the chunk.", stat(func(s cache.Stats) int64 { return s.Hits })},
+		{true, metrics.NameCacheSets, "Successful inserts, including overwrites.", stat(func(s cache.Stats) int64 { return s.Sets })},
+		{true, metrics.NameCacheEvictions, "Entries evicted to make room.", stat(func(s cache.Stats) int64 { return s.Evictions })},
+		{true, metrics.NameCacheAdmissionRejects, "Inserts dropped by the admission filter.", stat(func(s cache.Stats) int64 { return s.AdmissionRejects })},
+		{true, metrics.NameCacheFullRejects, "Inserts refused by a full shard whose policy declined eviction.", stat(func(s cache.Stats) int64 { return s.FullRejects })},
+		{false, metrics.NameCacheUsedBytes, "Resident bytes.", c.Used},
+		{false, metrics.NameCacheCapacityBytes, "Configured capacity in bytes.", c.Capacity},
+		{false, metrics.NameCacheShards, "Lock-stripe shard count.", func() int64 { return int64(c.ShardCount()) }},
 	}
-	m.stats = append(m.stats, statSource{"rejected", always(func() int64 { return c.Stats().Rejected() })})
-
-	gauges := []struct {
-		name, help, key string
-		read            func() int64
-	}{
-		{metrics.NameCacheUsedBytes, "Resident bytes.", "used", c.Used},
-		{metrics.NameCacheCapacityBytes, "Configured capacity in bytes.", "capacity", c.Capacity},
-		{metrics.NameCacheShards, "Lock-stripe shard count.", "shards", func() int64 { return int64(c.ShardCount()) }},
-	}
-	for _, g := range gauges {
-		g := g
-		reg.NewGaugeFuncVec(g.name, g.help, "server", "region").
-			Bind(func() float64 { return float64(g.read()) }, "cache", region)
-		m.stats = append(m.stats, statSource{g.key, always(g.read)})
-	}
-	m.bindDepth(reg, "cache", region, depth)
-
 	if table != nil {
-		coopCounters := []struct {
-			name, help, key string
-			read            func() int64
-		}{
-			{metrics.NameCoopPeerHits, "Chunks served to foreign-region peer readers.", "peer_hits",
+		funcs = append(funcs, []funcFamily{
+			{true, metrics.NameCoopPeerHits, "Chunks served to foreign-region peer readers.",
 				func() int64 { h, _ := table.PeerReads(); return h }},
-			{metrics.NameCoopPeerMisses, "Advertised-but-gone chunks peer readers asked for.", "peer_misses",
+			{true, metrics.NameCoopPeerMisses, "Advertised-but-gone chunks peer readers asked for.",
 				func() int64 { _, m := table.PeerReads(); return m }},
-			{metrics.NameCoopDigests, "Digest frames applied.", "digests",
+			{true, metrics.NameCoopDigests, "Digest frames applied.",
 				func() int64 { a, _ := table.Applied(); return a }},
-			{metrics.NameCoopDigestsStale, "Digest frames dropped as stale.", "digests_stale",
+			{true, metrics.NameCoopDigestsStale, "Digest frames dropped as stale.",
 				func() int64 { _, s := table.Applied(); return s }},
-			{metrics.NameCoopDigestDeltas, "Applied digest frames that were deltas.", "digest_deltas", table.Deltas},
-		}
-		for _, cnt := range coopCounters {
-			cnt := cnt
-			reg.NewCounterFuncVec(cnt.name, cnt.help, "server", "region").
-				Bind(func() float64 { return float64(cnt.read()) }, "cache", region)
-			m.stats = append(m.stats, statSource{cnt.key, always(cnt.read)})
-		}
-		age := func() (int64, bool) {
-			if age, ok := table.StalestAge(); ok {
-				return int64(age / time.Millisecond), true
-			}
-			return 0, false
-		}
-		reg.NewGaugeFuncVec(metrics.NameCoopDigestAgeMS,
-			"Age of the least recently refreshed peer mirror in milliseconds (-1 before any digest).",
-			"server", "region").
-			Bind(func() float64 {
-				if v, ok := age(); ok {
-					return float64(v)
-				}
-				return -1
-			}, "cache", region)
-		m.stats = append(m.stats, statSource{"digest_age_ms", age})
+			{true, metrics.NameCoopDigestDeltas, "Applied digest frames that were deltas.", table.Deltas},
+			{false, metrics.NameCoopDigestAgeMS,
+				"Age of the least recently refreshed peer mirror in milliseconds (-1 before any digest).",
+				func() int64 {
+					if age, ok := table.StalestAge(); ok {
+						return int64(age / time.Millisecond)
+					}
+					return -1
+				}},
+		}...)
 	}
+	for _, f := range funcs {
+		read := f.read
+		get := func() float64 { return float64(read()) }
+		if f.counter {
+			reg.NewCounterFuncVec(f.name, f.help, "server", "region").Bind(get, "cache", region)
+		} else {
+			reg.NewGaugeFuncVec(f.name, f.help, "server", "region").Bind(get, "cache", region)
+		}
+	}
+	bindDepth(reg, "cache", region, depth)
 
 	m.staleRejects = reg.NewCounterVec(metrics.NameCoherenceStaleRejects,
 		"Versioned mutations refused because a newer version already holds the key.",
@@ -256,40 +203,23 @@ func newCacheServerMetrics(reg *metrics.Registry, region string, c *cache.Cache,
 // latency histograms plus chunk/byte gauges and the in-flight request gauge.
 func newStoreServerMetrics(reg *metrics.Registry, region string, st *backend.Store, depth *atomic.Int64) *serverMetrics {
 	m := &serverMetrics{}
-	m.internOps(reg, "store", region, []string{
-		wire.OpGet, wire.OpPut, wire.OpMGet, wire.OpDelete, wire.OpDelObj, wire.OpStats,
-	})
+	m.internOps(reg, "store", region, []string{wire.OpPut, wire.OpMGet})
 	m.staleRejects = reg.NewCounterVec(metrics.NameCoherenceStaleRejects,
 		"Versioned mutations refused because a newer version already holds the key.",
 		"server", "region").With("store", region)
-	gauges := []struct {
-		name, help, key string
-		read            func() int64
-	}{
-		{metrics.NameStoreChunks, "Chunk objects persisted in this region's bucket.", "chunks",
-			func() int64 { return int64(st.Len()) }},
-		{metrics.NameStoreBytes, "Payload bytes persisted in this region's bucket.", "bytes", st.Bytes},
-	}
-	for _, g := range gauges {
-		g := g
-		reg.NewGaugeFuncVec(g.name, g.help, "server", "region").
-			Bind(func() float64 { return float64(g.read()) }, "store", region)
-		m.stats = append(m.stats, statSource{g.key, always(g.read)})
-	}
-	m.bindDepth(reg, "store", region, depth)
+	reg.NewGaugeFuncVec(metrics.NameStoreChunks, "Chunk objects persisted in this region's bucket.", "server", "region").
+		Bind(func() float64 { return float64(st.Len()) }, "store", region)
+	reg.NewGaugeFuncVec(metrics.NameStoreBytes, "Payload bytes persisted in this region's bucket.", "server", "region").
+		Bind(func() float64 { return float64(st.Bytes()) }, "store", region)
+	bindDepth(reg, "store", region, depth)
 	return m
 }
 
-// bindDepth exports the server's in-flight request gauge. The wire stats
-// op reads it from inside its own handler, while the stats request itself
-// is in flight, so its payload leaves that one request out: a quiesced
-// server reports 0 on both surfaces.
-func (m *serverMetrics) bindDepth(reg *metrics.Registry, server, region string, depth *atomic.Int64) {
+// bindDepth exports the server's in-flight request gauge.
+func bindDepth(reg *metrics.Registry, server, region string, depth *atomic.Int64) {
 	reg.NewGaugeFuncVec(metrics.NameServerQueueDepth,
 		"Requests decoded and not yet answered, across all connections.", "server", "region").
 		Bind(func() float64 { return float64(depth.Load()) }, server, region)
-	m.stats = append(m.stats, statSource{"dispatch_queue_depth",
-		always(func() int64 { return max(0, depth.Load()-1) })})
 }
 
 // bindReconfigMetrics exports the node's reconfigurations into the cluster

@@ -12,11 +12,11 @@ import (
 	"github.com/agardist/agar/internal/wire"
 )
 
-// TestMetricsScrapeMatchesWireStats drives a known op sequence through a
-// cache server and requires the /metrics exposition and the wire-level
-// stats op to agree on every shared counter — both surfaces read the same
-// registry children, so any drift is a bug.
-func TestMetricsScrapeMatchesWireStats(t *testing.T) {
+// TestMetricsScrapeMatchesInProcessCounters drives a known op sequence
+// through a cooperative cache server and requires every counter and gauge
+// the /metrics exposition carries to equal the in-process source it is
+// bound to — the cache's own Stats, the coop table and the dispatch gauge.
+func TestMetricsScrapeMatchesInProcessCounters(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := cache.NewSharded(1<<20, 4, func() cache.Policy { return cache.NewLRU() })
 	table := coop.NewTable()
@@ -30,26 +30,28 @@ func TestMetricsScrapeMatchesWireStats(t *testing.T) {
 
 	remote := NewRemoteCache(srv.Addr())
 	defer remote.Close()
+	peer := NewPeerRemoteCache(srv.Addr(), "dublin")
+	defer peer.Close()
 
-	// Known sequence: two sets, one hit, one miss.
-	if err := remote.Put(cache.EntryID{Key: "obj", Index: 1}, []byte("aa")); err != nil {
+	// Known sequence: two sets, one hit, one miss, one digest, and one
+	// peer read that finds one of its two chunks.
+	if err := cachePut(remote, cache.EntryID{Key: "obj", Index: 1}, []byte("aa")); err != nil {
 		t.Fatal(err)
 	}
-	if err := remote.Put(cache.EntryID{Key: "obj", Index: 2}, []byte("bb")); err != nil {
+	if err := cachePut(remote, cache.EntryID{Key: "obj", Index: 2}, []byte("bb")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := remote.Get(cache.EntryID{Key: "obj", Index: 1}); err != nil {
+	if _, err := cacheGet(remote, cache.EntryID{Key: "obj", Index: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := remote.Get(cache.EntryID{Key: "gone", Index: 9}); err != cache.ErrNotFound {
+	if _, err := cacheGet(remote, cache.EntryID{Key: "gone", Index: 9}); err != cache.ErrNotFound {
 		t.Fatalf("miss: err = %v", err)
 	}
-	wireStats, err := remote.Stats()
-	if err != nil {
+	if err := remote.SendDigest(coop.Digest{Region: "dublin", Seq: 1, Groups: map[string][]int{"x": {0}}}); err != nil {
 		t.Fatal(err)
 	}
-	if wireStats["gets"] != 2 || wireStats["hits"] != 1 || wireStats["sets"] != 2 {
-		t.Fatalf("wire stats off: %v", wireStats)
+	if found, err := peer.GetMulti("obj", []int{2, 5}); err != nil || len(found) != 1 {
+		t.Fatalf("peer mget: %v err %v", found, err)
 	}
 
 	// Scrape over real HTTP, parse with the package's own parser.
@@ -65,35 +67,37 @@ func TestMetricsScrapeMatchesWireStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every wire stats key with a registry family must expose the same
-	// value (no ops ran between the stats call and the scrape).
-	families := map[string]string{
-		"gets":                 metrics.NameCacheGets,
-		"hits":                 metrics.NameCacheHits,
-		"sets":                 metrics.NameCacheSets,
-		"evictions":            metrics.NameCacheEvictions,
-		"admission_rejects":    metrics.NameCacheAdmissionRejects,
-		"full_rejects":         metrics.NameCacheFullRejects,
-		"used":                 metrics.NameCacheUsedBytes,
-		"capacity":             metrics.NameCacheCapacityBytes,
-		"shards":               metrics.NameCacheShards,
-		"dispatch_queue_depth": metrics.NameServerQueueDepth,
-		"peer_hits":            metrics.NameCoopPeerHits,
-		"peer_misses":          metrics.NameCoopPeerMisses,
-		"digests":              metrics.NameCoopDigests,
-		"digests_stale":        metrics.NameCoopDigestsStale,
-		"digest_deltas":        metrics.NameCoopDigestDeltas,
+	stats := c.Stats()
+	if stats.Gets != 4 || stats.Hits != 2 || stats.Sets != 2 {
+		t.Fatalf("cache stats off: %+v", stats)
+	}
+	peerHits, peerMisses := table.PeerReads()
+	if peerHits != 1 || peerMisses != 1 {
+		t.Fatalf("peer reads = %d/%d, want 1/1", peerHits, peerMisses)
+	}
+	applied, staleDigests := table.Applied()
+	want := map[string]int64{
+		metrics.NameCacheGets:             stats.Gets,
+		metrics.NameCacheHits:             stats.Hits,
+		metrics.NameCacheSets:             stats.Sets,
+		metrics.NameCacheEvictions:        stats.Evictions,
+		metrics.NameCacheAdmissionRejects: stats.AdmissionRejects,
+		metrics.NameCacheFullRejects:      stats.FullRejects,
+		metrics.NameCacheUsedBytes:        c.Used(),
+		metrics.NameCacheCapacityBytes:    c.Capacity(),
+		metrics.NameCacheShards:           int64(c.ShardCount()),
+		metrics.NameServerQueueDepth:      srv.QueueDepth(),
+		metrics.NameCoopPeerHits:          peerHits,
+		metrics.NameCoopPeerMisses:        peerMisses,
+		metrics.NameCoopDigests:           applied,
+		metrics.NameCoopDigestsStale:      staleDigests,
+		metrics.NameCoopDigestDeltas:      table.Deltas(),
 	}
 	sel := map[string]string{"server": "cache"}
-	for key, famName := range families {
-		want, ok := wireStats[key]
-		if !ok {
-			t.Errorf("wire stats missing %q", key)
-			continue
-		}
+	for famName, v := range want {
 		fam, ok := metrics.SelectFamily(fams, famName)
 		if !ok {
-			t.Errorf("scrape missing family %s (wire key %q)", famName, key)
+			t.Errorf("scrape missing family %s", famName)
 			continue
 		}
 		s, ok := metrics.SelectSample(fam, sel)
@@ -101,25 +105,22 @@ func TestMetricsScrapeMatchesWireStats(t *testing.T) {
 			t.Errorf("family %s has no server=cache sample", famName)
 			continue
 		}
-		if int64(s.Value) != want {
-			t.Errorf("%s = %v, wire %q = %d", famName, s.Value, key, want)
+		if int64(s.Value) != v {
+			t.Errorf("%s = %v, in-process source = %d", famName, s.Value, v)
 		}
 	}
 
 	// The op latency histograms must have counted the sequence: 2 gets,
-	// 2 puts, and at least the one stats op.
+	// 2 mputs, 1 digest and 1 mget.
 	ex, ok := metrics.SelectFamily(fams, metrics.NameServerOpExecute)
 	if !ok {
 		t.Fatalf("scrape missing %s", metrics.NameServerOpExecute)
 	}
-	for op, want := range map[string]uint64{wire.OpGet: 2, wire.OpPut: 2} {
+	for op, want := range map[string]uint64{wire.OpGet: 2, wire.OpMPut: 2, wire.OpDigest: 1, wire.OpMGet: 1} {
 		s, ok := metrics.SelectSample(ex, map[string]string{"server": "cache", "op": op})
 		if !ok || s.Count != want {
 			t.Errorf("execute histogram op=%s count = %d (ok=%v), want %d", op, s.Count, ok, want)
 		}
-	}
-	if s, ok := metrics.SelectSample(ex, map[string]string{"server": "cache", "op": wire.OpStats}); !ok || s.Count < 1 {
-		t.Errorf("execute histogram op=stats count = %d (ok=%v), want >= 1", s.Count, ok)
 	}
 }
 
@@ -181,7 +182,7 @@ func benchServerGet(b *testing.B, instrumented bool) {
 	defer remote.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := remote.Get(cache.EntryID{Key: "k", Index: i % 64}); err != nil {
+		if _, err := cacheGet(remote, cache.EntryID{Key: "k", Index: i % 64}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -40,8 +40,9 @@ func (p *PendingReply) Wait() (wire.Message, error) {
 //
 // Go issues a call without blocking for its reply (beyond the in-flight
 // window, which applies back-pressure); the returned PendingReply resolves
-// when the reply frame arrives. The synchronous helpers (Get, GetMulti,
-// Put, PutMulti) are Go plus Wait. An adapter is safe for concurrent use;
+// when the reply frame arrives; a synchronous call is Go plus Wait. The
+// caller builds the request frame itself, so it can stamp the trace header
+// per op. An adapter is safe for concurrent use;
 // a transport error fails every in-flight and subsequent call, and Close
 // releases the connection.
 type PipelinedCache struct {
@@ -156,52 +157,6 @@ func (p *PipelinedCache) Go(req wire.Message) *PendingReply {
 	}
 	p.wmu.Unlock()
 	return pr
-}
-
-// Get fetches one cached chunk (synchronous form of Go).
-func (p *PipelinedCache) Get(key string, index int) ([]byte, error) {
-	resp, err := p.Go(wire.Message{Header: wire.Header{Op: wire.OpGet, Key: key, Index: index}}).Wait()
-	if err != nil {
-		return nil, err
-	}
-	if resp.Header.Op == wire.OpNotFound {
-		return nil, fmt.Errorf("live: pipelined get %s/%d: not found", key, index)
-	}
-	return resp.Body, nil
-}
-
-// GoMGet issues a batched read of several chunks of one key.
-func (p *PipelinedCache) GoMGet(key string, indices []int) *PendingReply {
-	return p.Go(wire.Message{Header: wire.Header{Op: wire.OpMGet, Key: key, Indices: indices}})
-}
-
-// GetMulti fetches several chunks of one key, like RemoteCache.GetMulti,
-// over the pipelined connection.
-func (p *PipelinedCache) GetMulti(key string, indices []int) (map[int][]byte, error) {
-	resp, err := p.GoMGet(key, indices).Wait()
-	if err != nil {
-		return nil, err
-	}
-	return wire.UnpackBatch(resp.Header.Indices, resp.Header.Sizes, resp.Body)
-}
-
-// Put inserts one chunk.
-func (p *PipelinedCache) Put(key string, index int, data []byte) error {
-	_, err := p.Go(wire.Message{Header: wire.Header{Op: wire.OpPut, Key: key, Index: index}, Body: data}).Wait()
-	return err
-}
-
-// PutMulti inserts several chunks of one key in one frame.
-func (p *PipelinedCache) PutMulti(key string, chunks map[int][]byte) error {
-	indices, sizes, body, err := wire.PackBatch(chunks)
-	if err != nil {
-		return err
-	}
-	_, err = p.Go(wire.Message{
-		Header: wire.Header{Op: wire.OpMPut, Key: key, Indices: indices, Sizes: sizes},
-		Body:   body,
-	}).Wait()
-	return err
 }
 
 // Close tears the connection down and fails any in-flight calls. The

@@ -24,6 +24,42 @@ func startPipelineServer(t *testing.T) (*Server, *cache.Cache) {
 	return srv, c
 }
 
+// mputFrame builds the mput request storing chunks under key.
+func mputFrame(key string, chunks map[int][]byte) wire.Message {
+	indices, sizes, body, err := wire.PackBatch(chunks)
+	if err != nil {
+		panic(err)
+	}
+	return wire.Message{Header: wire.Header{Op: wire.OpMPut, Key: key, Indices: indices, Sizes: sizes}, Body: body}
+}
+
+// pipeMPut stores chunks under key over the pipelined connection.
+func pipeMPut(p *PipelinedCache, key string, chunks map[int][]byte) error {
+	_, err := p.Go(mputFrame(key, chunks)).Wait()
+	return err
+}
+
+// pipeGet fetches one chunk over the pipelined connection.
+func pipeGet(p *PipelinedCache, key string, index int) ([]byte, error) {
+	resp, err := p.Go(wire.Message{Header: wire.Header{Op: wire.OpGet, Key: key, Index: index}}).Wait()
+	if err != nil {
+		return nil, err
+	}
+	if resp.Header.Op == wire.OpNotFound {
+		return nil, fmt.Errorf("pipelined get %s/%d: not found", key, index)
+	}
+	return resp.Body, nil
+}
+
+// pipeMGet fetches several chunks of one key over the pipelined connection.
+func pipeMGet(p *PipelinedCache, key string, indices []int) (map[int][]byte, error) {
+	resp, err := p.Go(wire.Message{Header: wire.Header{Op: wire.OpMGet, Key: key, Indices: indices}}).Wait()
+	if err != nil {
+		return nil, err
+	}
+	return wire.UnpackBatch(resp.Header.Indices, resp.Header.Sizes, resp.Body)
+}
+
 // TestPipelinedReadYourWrites drives puts and gets back to back through
 // one pipelined connection: replies must resolve in send order, so a get
 // pipelined behind its own put always observes the write.
@@ -39,9 +75,7 @@ func TestPipelinedReadYourWrites(t *testing.T) {
 	pending := make([]*PendingReply, 0, 2*n)
 	for i := 0; i < n; i++ {
 		body := []byte(fmt.Sprintf("chunk-%d", i))
-		pending = append(pending, p.Go(wire.Message{
-			Header: wire.Header{Op: wire.OpPut, Key: "k", Index: i}, Body: body,
-		}))
+		pending = append(pending, p.Go(mputFrame("k", map[int][]byte{i: body})))
 		pending = append(pending, p.Go(wire.Message{
 			Header: wire.Header{Op: wire.OpGet, Key: "k", Index: i},
 		}))
@@ -60,7 +94,7 @@ func TestPipelinedReadYourWrites(t *testing.T) {
 	}
 }
 
-// TestPipelinedBatchOps exercises PutMulti/GetMulti over the pipelined
+// TestPipelinedBatchOps exercises mput/mget over the pipelined
 // connection, including a cross-shard mget that takes the split path.
 func TestPipelinedBatchOps(t *testing.T) {
 	srv, _ := startPipelineServer(t)
@@ -74,14 +108,14 @@ func TestPipelinedBatchOps(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		chunks[i] = bytes.Repeat([]byte{byte(i)}, 128)
 	}
-	if err := p.PutMulti("obj", chunks); err != nil {
+	if err := pipeMPut(p, "obj", chunks); err != nil {
 		t.Fatal(err)
 	}
 	indices := make([]int, 0, len(chunks))
 	for i := range chunks {
 		indices = append(indices, i)
 	}
-	got, err := p.GetMulti("obj", indices)
+	got, err := pipeMGet(p, "obj", indices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +127,7 @@ func TestPipelinedBatchOps(t *testing.T) {
 			t.Fatalf("chunk %d mismatch", i)
 		}
 	}
-	if _, err := p.Get("missing", 0); err == nil || !strings.Contains(err.Error(), "not found") {
+	if _, err := pipeGet(p, "missing", 0); err == nil || !strings.Contains(err.Error(), "not found") {
 		t.Fatalf("missing get err = %v", err)
 	}
 }
@@ -118,11 +152,11 @@ func TestPipelinedConcurrentCallers(t *testing.T) {
 			key := fmt.Sprintf("key-%d", g)
 			for i := 0; i < 100; i++ {
 				want := []byte(fmt.Sprintf("%d/%d", g, i))
-				if err := p.Put(key, i, want); err != nil {
+				if err := pipeMPut(p, key, map[int][]byte{i: want}); err != nil {
 					errs <- err
 					return
 				}
-				got, err := p.Get(key, i)
+				got, err := pipeGet(p, key, i)
 				if err != nil {
 					errs <- err
 					return

@@ -14,7 +14,6 @@ type popJob struct {
 // chunkSink is where the populator writes batched fills — the narrow slice
 // of *RemoteCache it needs, injectable for tests.
 type chunkSink interface {
-	PutMulti(key string, chunks map[int][]byte) error
 	PutMultiVer(key string, chunks map[int][]byte, ver uint64) error
 }
 
@@ -37,7 +36,7 @@ type populator struct {
 }
 
 // newPopulator starts workers goroutines draining a queue of the given
-// depth into the cache via batched PutMulti calls.
+// depth into the cache via batched PutMultiVer calls.
 func newPopulator(cache chunkSink, workers, queue int) *populator {
 	p := &populator{cache: cache, jobs: make(chan popJob, queue)}
 	p.cond = sync.NewCond(&p.mu)
@@ -56,11 +55,7 @@ func (p *populator) worker() {
 		// server can refuse it if a newer write has already raised the floor
 		// — an unversioned fill of versioned data would dodge that check and
 		// reintroduce pre-write chunks after an invalidation.
-		if job.ver != 0 {
-			_ = p.cache.PutMultiVer(job.key, job.chunks, job.ver)
-		} else {
-			_ = p.cache.PutMulti(job.key, job.chunks)
-		}
+		_ = p.cache.PutMultiVer(job.key, job.chunks, job.ver)
 		p.mu.Lock()
 		p.pending--
 		if p.pending == 0 {

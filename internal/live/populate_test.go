@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// blockingSink gates PutMulti on a channel so tests can hold workers busy
+// blockingSink gates PutMultiVer on a channel so tests can hold workers busy
 // deterministically, and records every applied fill.
 type blockingSink struct {
 	gate chan struct{} // receive to proceed; closed = never block
@@ -18,14 +18,6 @@ type blockingSink struct {
 
 func newBlockingSink() *blockingSink {
 	return &blockingSink{gate: make(chan struct{})}
-}
-
-func (s *blockingSink) PutMulti(key string, chunks map[int][]byte) error {
-	<-s.gate
-	s.mu.Lock()
-	s.applied = append(s.applied, popJob{key: key, chunks: chunks})
-	s.mu.Unlock()
-	return nil
 }
 
 func (s *blockingSink) PutMultiVer(key string, chunks map[int][]byte, ver uint64) error {

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/agardist/agar/internal/backend"
-	"github.com/agardist/agar/internal/cache"
 	"github.com/agardist/agar/internal/coop"
 	"github.com/agardist/agar/internal/trace"
 	"github.com/agardist/agar/internal/wire"
@@ -126,66 +124,11 @@ func NewRemoteStore(addr string) *RemoteStore {
 // Close drops the pooled connections.
 func (s *RemoteStore) Close() { s.rc.close() }
 
-// Get fetches one chunk.
-func (s *RemoteStore) Get(id backend.ChunkID) ([]byte, error) {
-	data, _, err := s.GetCtx(trace.Context{}, id)
-	return data, err
-}
-
-// GetCtx is Get with trace context: a sampled context rides the request
-// and the server's span annotations come back with the chunk. The zero
-// context sends the byte-identical untraced frame.
-func (s *RemoteStore) GetCtx(ctx trace.Context, id backend.ChunkID) ([]byte, []trace.Annotation, error) {
-	resp, anns, err := s.rc.callCtx(ctx, wire.Message{Header: wire.Header{Op: wire.OpGet, Key: id.Key, Index: id.Index}})
-	if err != nil {
-		return nil, anns, err
-	}
-	if resp.Header.Op == wire.OpNotFound {
-		return nil, anns, backend.ErrNotFound
-	}
-	return resp.Body, anns, nil
-}
-
 // GetMulti fetches several chunks of one key in a single round trip and
-// returns whichever the region holds, keyed by chunk index — the batched
-// form of Get, mirroring the cache protocol's mget.
+// returns whichever the region holds, keyed by chunk index.
 func (s *RemoteStore) GetMulti(key string, indices []int) (map[int][]byte, error) {
-	found, _, err := s.GetMultiCtx(trace.Context{}, key, indices)
+	found, _, _, _, err := s.GetMultiVerCtx(trace.Context{}, key, indices)
 	return found, err
-}
-
-// GetMultiCtx is GetMulti with trace context (see GetCtx).
-func (s *RemoteStore) GetMultiCtx(ctx trace.Context, key string, indices []int) (map[int][]byte, []trace.Annotation, error) {
-	if len(indices) == 0 {
-		return map[int][]byte{}, nil, nil
-	}
-	if len(indices) > wire.MaxBatchChunks {
-		return nil, nil, fmt.Errorf("live: mget of %d chunks exceeds batch limit %d", len(indices), wire.MaxBatchChunks)
-	}
-	resp, anns, err := s.rc.callCtx(ctx, wire.Message{Header: wire.Header{Op: wire.OpMGet, Key: key, Indices: indices}})
-	if err != nil {
-		return nil, anns, err
-	}
-	found, err := wire.UnpackBatch(resp.Header.Indices, resp.Header.Sizes, resp.Body)
-	return found, anns, err
-}
-
-// Put stores one chunk.
-func (s *RemoteStore) Put(id backend.ChunkID, data []byte) error {
-	_, err := s.rc.call(wire.Message{
-		Header: wire.Header{Op: wire.OpPut, Key: id.Key, Index: id.Index},
-		Body:   data,
-	})
-	return err
-}
-
-// Stats fetches the server's counters.
-func (s *RemoteStore) Stats() (map[string]int64, error) {
-	resp, err := s.rc.call(wire.Message{Header: wire.Header{Op: wire.OpStats}})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Header.Stats, nil
 }
 
 // RemoteCache is the client adapter for a chunk cache server. Calls on one
@@ -212,52 +155,12 @@ func NewPeerRemoteCache(addr, origin string) *RemoteCache {
 // Close drops the pooled connections.
 func (c *RemoteCache) Close() { c.rc.close() }
 
-// Get fetches one cached chunk.
-func (c *RemoteCache) Get(id cache.EntryID) ([]byte, error) {
-	resp, err := c.rc.call(wire.Message{Header: wire.Header{Op: wire.OpGet, Key: id.Key, Index: id.Index}})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Header.Op == wire.OpNotFound {
-		return nil, cache.ErrNotFound
-	}
-	return resp.Body, nil
-}
-
-// Put inserts one chunk.
-func (c *RemoteCache) Put(id cache.EntryID, data []byte) error {
-	_, err := c.rc.call(wire.Message{
-		Header: wire.Header{Op: wire.OpPut, Key: id.Key, Index: id.Index},
-		Body:   data,
-	})
-	return err
-}
-
 // GetMulti fetches several chunks of one key in a single round trip and
-// returns whichever were resident, keyed by chunk index — the batched form
-// of Get. Missing chunks are simply absent from the result.
+// returns whichever were resident, keyed by chunk index. Missing chunks are
+// simply absent from the result.
 func (c *RemoteCache) GetMulti(key string, indices []int) (map[int][]byte, error) {
-	found, _, err := c.GetMultiCtx(trace.Context{}, key, indices)
+	found, _, _, err := c.GetMultiVerCtx(trace.Context{}, key, indices)
 	return found, err
-}
-
-// GetMultiCtx is GetMulti with trace context: a sampled context rides the
-// request and the server's span annotations (its execute time) come back
-// with the chunks. The zero context
-// sends the byte-identical untraced frame.
-func (c *RemoteCache) GetMultiCtx(ctx trace.Context, key string, indices []int) (map[int][]byte, []trace.Annotation, error) {
-	if len(indices) == 0 {
-		return map[int][]byte{}, nil, nil
-	}
-	if len(indices) > wire.MaxBatchChunks {
-		return nil, nil, fmt.Errorf("live: mget of %d chunks exceeds batch limit %d", len(indices), wire.MaxBatchChunks)
-	}
-	resp, anns, err := c.rc.callCtx(ctx, wire.Message{Header: wire.Header{Op: wire.OpMGet, Key: key, Indices: indices, Region: c.origin}})
-	if err != nil {
-		return nil, anns, err
-	}
-	found, err := wire.UnpackBatch(resp.Header.Indices, resp.Header.Sizes, resp.Body)
-	return found, anns, err
 }
 
 // SendDigest pushes one cooperative residency digest frame — full or delta
@@ -283,57 +186,6 @@ func (c *RemoteCache) SendDigest(d coop.Digest) error {
 	return nil
 }
 
-// PutMulti inserts several chunks of one key in a single round trip — the
-// batched form of Put. Chunks the server's cache refuses (admission filter,
-// full shard) are skipped server-side without failing the batch.
-func (c *RemoteCache) PutMulti(key string, chunks map[int][]byte) error {
-	if len(chunks) == 0 {
-		return nil
-	}
-	indices, sizes, body, err := wire.PackBatch(chunks)
-	if err != nil {
-		return err
-	}
-	_, err = c.rc.call(wire.Message{
-		Header: wire.Header{Op: wire.OpMPut, Key: key, Indices: indices, Sizes: sizes},
-		Body:   body,
-	})
-	return err
-}
-
-// IndicesOf lists the resident chunk indices for a key.
-func (c *RemoteCache) IndicesOf(key string) ([]int, error) {
-	resp, err := c.rc.call(wire.Message{Header: wire.Header{Op: wire.OpIndices, Key: key}})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Header.Indices, nil
-}
-
-// DeleteObject removes every chunk of a key (write invalidation).
-func (c *RemoteCache) DeleteObject(key string) error {
-	_, err := c.rc.call(wire.Message{Header: wire.Header{Op: wire.OpDelObj, Key: key}})
-	return err
-}
-
-// Snapshot fetches the cache's full contents summary.
-func (c *RemoteCache) Snapshot() (map[string][]int, error) {
-	resp, err := c.rc.call(wire.Message{Header: wire.Header{Op: wire.OpSnapshot}})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Header.Groups, nil
-}
-
-// Stats fetches cache counters.
-func (c *RemoteCache) Stats() (map[string]int64, error) {
-	resp, err := c.rc.call(wire.Message{Header: wire.Header{Op: wire.OpStats}})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Header.Stats, nil
-}
-
 // RemoteHinter asks an Agar node for caching hints over TCP.
 type RemoteHinter struct{ rc *pool }
 
@@ -351,36 +203,16 @@ func (h *RemoteHinter) Hint(key string) ([]int, error) {
 	return indices, err
 }
 
-// HintCtx is Hint with trace context (see RemoteCache.GetMultiCtx); the
-// hint server's execute annotation comes back with the hint, so a merged
-// read trace shows real server time for the hint exchange too.
+// HintCtx is Hint with trace context: a sampled context rides the request
+// and the hint server's execute annotation comes back with the hint, so a
+// merged read trace shows real server time for the hint exchange too. The
+// zero context sends the byte-identical untraced frame.
 func (h *RemoteHinter) HintCtx(ctx trace.Context, key string) ([]int, []trace.Annotation, error) {
 	resp, anns, err := h.rc.callCtx(ctx, wire.Message{Header: wire.Header{Op: wire.OpHint, Key: key}})
 	if err != nil {
 		return nil, anns, err
 	}
 	return resp.Header.Indices, anns, nil
-}
-
-// HintMulti resolves the caching hints for several keys in one round trip —
-// the batched form of Hint, for readers that know their next keys (prefetch
-// pipelines, scan workloads). Every requested key appears in the result.
-func (h *RemoteHinter) HintMulti(keys []string) (map[string][]int, error) {
-	if len(keys) == 0 {
-		return map[string][]int{}, nil
-	}
-	if len(keys) > wire.MaxBatchChunks {
-		return nil, fmt.Errorf("live: mhint of %d keys exceeds batch limit %d", len(keys), wire.MaxBatchChunks)
-	}
-	resp, err := h.rc.call(wire.Message{Header: wire.Header{Op: wire.OpMHint, Keys: keys}})
-	if err != nil {
-		return nil, err
-	}
-	out := resp.Header.Groups
-	if out == nil {
-		out = map[string][]int{}
-	}
-	return out, nil
 }
 
 // UDPHinter asks for hints over UDP, like the paper's prototype.
@@ -408,7 +240,11 @@ func NewUDPHinter(addr string) (*UDPHinter, error) {
 // Close releases the socket.
 func (h *UDPHinter) Close() { h.conn.Close() }
 
-// Hint requests the caching hint for a key, with a 2-second timeout.
+// Hint requests the caching hint for a key, with a 2-second timeout. Every
+// reply names its key, so a datagram from another sender, for another key
+// (a duplicated reply, or the late answer to an earlier call that timed
+// out), or that does not decode is discarded, and the read goes on until
+// the deadline.
 func (h *UDPHinter) Hint(key string) ([]int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -417,12 +253,18 @@ func (h *UDPHinter) Hint(key string) ([]int, error) {
 		return nil, err
 	}
 	h.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	resp, _, err := wire.ReadDatagram(h.conn, h.buf)
-	if err != nil {
-		return nil, err
+	for {
+		resp, from, err := wire.ReadDatagram(h.conn, h.buf)
+		if from == nil {
+			return nil, err // the socket failed or the deadline passed
+		}
+		ua, ok := from.(*net.UDPAddr)
+		if err != nil || !ok || !ua.IP.Equal(h.addr.IP) || ua.Port != h.addr.Port || resp.Header.Key != key {
+			continue
+		}
+		if resp.Header.Op == wire.OpError {
+			return nil, fmt.Errorf("live: hint error: %s", resp.Header.Error)
+		}
+		return resp.Header.Indices, nil
 	}
-	if resp.Header.Op == wire.OpError {
-		return nil, fmt.Errorf("live: hint error: %s", resp.Header.Error)
-	}
-	return resp.Header.Indices, nil
 }

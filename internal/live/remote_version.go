@@ -2,18 +2,16 @@ package live
 
 import (
 	"github.com/agardist/agar/internal/backend"
-	"github.com/agardist/agar/internal/cache"
 	"github.com/agardist/agar/internal/trace"
 	"github.com/agardist/agar/internal/wire"
 )
 
-// The versioned halves of the remote adapters. Every method here speaks the
-// same frames as its unversioned sibling plus the optional Ver/Vers header
-// fields; a zero version sends the byte-identical legacy frame, so callers
-// that never version pay nothing. An OpStale reply — the server's version
-// floor refused the mutation — surfaces as *backend.StaleError carrying the
-// floor, the same error shape the in-process store returns, so retry logic
-// is transport-agnostic.
+// The versioned exchanges of the remote adapters. Every method here sends
+// the optional Ver/Vers header fields; a zero version sends the
+// byte-identical legacy frame, so callers that never version pay nothing.
+// An OpStale reply — the server's version floor refused the mutation —
+// surfaces as *backend.StaleError carrying the floor, the same error shape
+// the in-process store returns, so retry logic is transport-agnostic.
 
 // staleFromReply converts an OpStale reply into the store-layer error.
 func staleFromReply(h wire.Header) error {
@@ -36,18 +34,11 @@ func (s *RemoteStore) PutVer(id backend.ChunkID, data []byte, ver uint64) error 
 	return staleFromReply(resp.Header)
 }
 
-// DeleteObjectVer removes every chunk of a key and persists the delete's
-// version as a tombstone floor; stale deletes are refused.
-func (s *RemoteStore) DeleteObjectVer(key string, ver uint64) error {
-	resp, err := s.rc.call(wire.Message{Header: wire.Header{Op: wire.OpDelObj, Key: key, Ver: ver}})
-	if err != nil {
-		return err
-	}
-	return staleFromReply(resp.Header)
-}
-
-// GetMultiVerCtx is GetMultiCtx plus versions: per-chunk write versions
-// (nil for a never-versioned key) and the key's floor.
+// GetMultiVerCtx fetches several chunks of one key in one round trip with
+// their per-chunk write versions (nil for a never-versioned key) and the
+// key's floor. A sampled trace context rides the request and the server's
+// span annotations come back with the chunks; the zero context sends the
+// byte-identical untraced frame.
 func (s *RemoteStore) GetMultiVerCtx(ctx trace.Context, key string, indices []int) (map[int][]byte, map[int]uint64, uint64, []trace.Annotation, error) {
 	if len(indices) == 0 {
 		return map[int][]byte{}, nil, 0, nil, nil
@@ -78,22 +69,11 @@ func versMap(h wire.Header) map[int]uint64 {
 	return vers
 }
 
-// PutVer inserts one chunk under a write version; the server refuses it
-// below the key's floor.
-func (c *RemoteCache) PutVer(id cache.EntryID, data []byte, ver uint64) error {
-	resp, err := c.rc.call(wire.Message{
-		Header: wire.Header{Op: wire.OpPut, Key: id.Key, Index: id.Index, Ver: ver},
-		Body:   data,
-	})
-	if err != nil {
-		return err
-	}
-	return staleFromReply(resp.Header)
-}
-
 // PutMultiVer inserts several chunks of one key under one write version in
 // a single round trip; admitting the batch also drops any older cached
-// chunks of the key server-side.
+// chunks of the key server-side. Chunks the server's cache refuses
+// (admission filter, full shard) are skipped without failing the batch. A
+// zero version sends the unversioned insert.
 func (c *RemoteCache) PutMultiVer(key string, chunks map[int][]byte, ver uint64) error {
 	if len(chunks) == 0 {
 		return nil
@@ -123,8 +103,9 @@ func (c *RemoteCache) DeleteObjectVer(key string, ver uint64) error {
 	return staleFromReply(resp.Header)
 }
 
-// GetMultiVerCtx is GetMultiCtx plus per-chunk write versions (nil when
-// every returned chunk was a legacy insert).
+// GetMultiVerCtx fetches several chunks of one key in one round trip with
+// their per-chunk write versions (nil when every returned chunk was a legacy
+// insert), traced like RemoteStore.GetMultiVerCtx.
 func (c *RemoteCache) GetMultiVerCtx(ctx trace.Context, key string, indices []int) (map[int][]byte, map[int]uint64, []trace.Annotation, error) {
 	if len(indices) == 0 {
 		return map[int][]byte{}, nil, nil, nil

@@ -98,8 +98,8 @@ func (s *Server) PoolOutstanding() int64 { return s.bp.Outstanding() }
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // QueueDepth reports the requests decoded and not yet answered (handler
-// still running) across all connections — the same gauge OpStats exposes
-// as dispatch_queue_depth.
+// still running) across all connections — the gauge /metrics exposes as
+// agar_server_dispatch_queue_depth.
 func (s *Server) QueueDepth() int64 { return s.depth.Load() }
 
 // Close stops the listener, closes active connections and waits for all
@@ -229,8 +229,8 @@ func NewStoreServer(addr string, store *backend.Store) (*Server, error) {
 
 // NewStoreServerOpts serves one region's backend store with full options:
 // a shared metrics registry, a region label and a flight recorder. Metrics
-// are always collected — the wire stats op is built from them — so passing
-// a registry only decides where /metrics scrapes can see them.
+// are always collected; passing a registry only decides where /metrics
+// scrapes can see them.
 func NewStoreServerOpts(addr string, store *backend.Store, opts ServerOptions) (*Server, error) {
 	reg := opts.Registry
 	if reg == nil {
@@ -241,22 +241,13 @@ func NewStoreServerOpts(addr string, store *backend.Store, opts ServerOptions) (
 	return newServer(addr, storeHandler(store, sm), sm, opts.Recorder, nil, depth)
 }
 
-// storeHandler builds the store server's request handler; sm supplies the
-// registry-backed sources the OpStats reply is built from.
+// storeHandler builds the store server's request handler; sm counts the
+// versioned mutations its floors refuse.
 func storeHandler(store *backend.Store, sm *serverMetrics) handler {
 	return func(req wire.Message) wire.Message {
-		id := backend.ChunkID{Key: req.Header.Key, Index: req.Header.Index}
 		switch req.Header.Op {
-		case wire.OpGet:
-			data, ver, err := store.GetVer(id)
-			if errors.Is(err, backend.ErrNotFound) {
-				return wire.Message{Header: wire.Header{Op: wire.OpNotFound}}
-			}
-			if err != nil {
-				return wire.ErrorMessage(err)
-			}
-			return wire.Message{Header: wire.Header{Op: wire.OpOK, Ver: ver}, Body: data}
 		case wire.OpPut:
+			id := backend.ChunkID{Key: req.Header.Key, Index: req.Header.Index}
 			if err := store.PutVer(id, req.Body, req.Header.Ver); err != nil {
 				var stale *backend.StaleError
 				if errors.As(err, &stale) {
@@ -295,32 +286,6 @@ func storeHandler(store *backend.Store, sm *serverMetrics) handler {
 				}
 			}
 			return wire.Message{Header: h, Segments: segs}
-		case wire.OpDelObj:
-			// Versioned object invalidation: remove the chunks and persist
-			// the delete's version as a tombstone floor (legacy unversioned
-			// when Ver is zero).
-			if _, err := store.DeleteObjectVer(req.Header.Key, req.Header.Ver); err != nil {
-				var stale *backend.StaleError
-				if errors.As(err, &stale) {
-					sm.staleReject()
-					return wire.Message{Header: wire.Header{Op: wire.OpStale, Ver: stale.Cur}}
-				}
-				return wire.ErrorMessage(err)
-			}
-			return wire.Message{Header: wire.Header{Op: wire.OpOK}}
-		case wire.OpDelete:
-			if _, err := store.DeleteChecked(id); err != nil {
-				return wire.ErrorMessage(err)
-			}
-			return wire.Message{Header: wire.Header{Op: wire.OpOK}}
-		case wire.OpStats:
-			// StatsChecked still runs first so a down adapter propagates its
-			// error; the payload itself comes from the same registry sources
-			// /metrics exposes, keeping the two surfaces in lockstep.
-			if _, err := store.StatsChecked(); err != nil {
-				return wire.ErrorMessage(err)
-			}
-			return wire.Message{Header: wire.Header{Op: wire.OpOK, Stats: sm.statsMap()}}
 		default:
 			return wire.ErrorMessage(fmt.Errorf("store: unknown op %q", req.Header.Op))
 		}
@@ -334,18 +299,17 @@ func NewCacheServer(addr string, c *cache.Cache) (*Server, error) {
 
 // NewCacheServerCoop serves a chunk cache that also speaks the cooperative
 // mesh protocol: incoming OpDigest frames maintain the table's per-peer
-// residency mirrors, batched reads tagged with a foreign region are
-// accounted as peer traffic, and OpStats reports peer_hits, peer_misses,
-// digests and digest_age_ms alongside the cache counters.
+// residency mirrors, and batched reads tagged with a foreign region are
+// accounted as peer traffic (the table's PeerReads, exported on /metrics as
+// agar_coop_peer_hits_total and agar_coop_peer_misses_total).
 func NewCacheServerCoop(addr string, c *cache.Cache, table *coop.Table) (*Server, error) {
 	return NewCacheServerOpts(addr, c, table, ServerOptions{})
 }
 
 // NewCacheServerOpts serves a chunk cache (cooperative when table is
 // non-nil) with full options: a shared metrics registry, a region label, a
-// flight recorder and a version-floor table. Metrics are always collected —
-// the wire stats op is built from them — so passing a registry only decides
-// where /metrics scrapes can see them.
+// flight recorder and a version-floor table. Metrics are always collected;
+// passing a registry only decides where /metrics scrapes can see them.
 func NewCacheServerOpts(addr string, c *cache.Cache, table *coop.Table, opts ServerOptions) (*Server, error) {
 	reg := opts.Registry
 	if reg == nil {
@@ -369,10 +333,9 @@ const meanEntryRefresh = 512
 // non-cooperative deployments, which reject digest frames; vt is the
 // server's version-floor table — versioned mutations are admitted against
 // it and digest KeyVers raise it, dropping outdated cached chunks; sm
-// supplies the registry-backed sources the OpStats reply is built from; bp
-// supplies pooled reply-body buffers for the get/mget hot path (the
-// messages own them, and the serve loop's WriteVectored releases them
-// after the bytes leave the socket).
+// counts refused mutations and invalidations; bp supplies pooled reply-body
+// buffers for the get/mget hot path (the messages own them, and the serve
+// loop's WriteVectored releases them after the bytes leave the socket).
 func cacheHandler(c *cache.Cache, table *coop.Table, vt *coherence.VersionTable, sm *serverMetrics, bp *wire.BufferPool) handler {
 	// est sizes pooled reply buffers from the cache's mean entry size,
 	// refreshed every meanEntryRefresh ops — MeanEntryBytes walks every
@@ -390,11 +353,11 @@ func cacheHandler(c *cache.Cache, table *coop.Table, vt *coherence.VersionTable,
 		return 512
 	}
 	return func(req wire.Message) wire.Message {
-		id := cache.EntryID{Key: req.Header.Key, Index: req.Header.Index}
 		switch req.Header.Op {
 		case wire.OpGet:
 			// The chunk copies straight into a pooled buffer under the shard
 			// lock — no per-get allocation once the pool is warm.
+			id := cache.EntryID{Key: req.Header.Key, Index: req.Header.Index}
 			buf, ver, ok := c.GetAppendVer(id, bp.Get(est())[:0])
 			if !ok {
 				bp.Put(buf)
@@ -403,28 +366,6 @@ func cacheHandler(c *cache.Cache, table *coop.Table, vt *coherence.VersionTable,
 			resp := wire.Message{Header: wire.Header{Op: wire.OpOK, Ver: ver}, Body: buf}
 			resp.Own(bp, buf)
 			return resp
-		case wire.OpPut:
-			if ver := req.Header.Ver; ver != 0 {
-				// Versioned insert: refused below the key's floor, and a
-				// newer version drops the older chunks it outdates.
-				if ok, cur := vt.Admit(req.Header.Key, hlc.Timestamp(ver)); !ok {
-					sm.staleReject()
-					return wire.Message{Header: wire.Header{Op: wire.OpStale, Ver: uint64(cur)}}
-				}
-				if err := c.PutVer(id, req.Body, ver); err != nil {
-					return wire.ErrorMessage(err)
-				}
-				if vt.Observe(req.Header.Key, hlc.Timestamp(ver)) {
-					if c.DropObjectBelow(req.Header.Key, ver) > 0 {
-						sm.invalidated(1)
-					}
-				}
-				return wire.Message{Header: wire.Header{Op: wire.OpOK}}
-			}
-			if err := c.Put(id, req.Body); err != nil {
-				return wire.ErrorMessage(err)
-			}
-			return wire.Message{Header: wire.Header{Op: wire.OpOK}}
 		case wire.OpMGet:
 			n := len(req.Header.Indices)
 			if n > wire.MaxBatchChunks {
@@ -506,30 +447,23 @@ func cacheHandler(c *cache.Cache, table *coop.Table, vt *coherence.VersionTable,
 				}
 			}
 			return wire.Message{Header: wire.Header{Op: wire.OpOK, Indices: stored}}
-		case wire.OpDelete:
-			c.Delete(id)
-			return wire.Message{Header: wire.Header{Op: wire.OpOK}}
 		case wire.OpDelObj:
-			if ver := req.Header.Ver; ver != 0 {
-				// Versioned invalidation: raise the floor and drop every
-				// cached chunk the write outdated; a delete older than the
-				// floor is refused, never applied out of order.
-				if ok, cur := vt.Admit(req.Header.Key, hlc.Timestamp(ver)); !ok {
-					sm.staleReject()
-					return wire.Message{Header: wire.Header{Op: wire.OpStale, Ver: uint64(cur)}}
-				}
-				vt.Observe(req.Header.Key, hlc.Timestamp(ver))
-				if c.DropObjectBelow(req.Header.Key, ver) > 0 {
-					sm.invalidated(1)
-				}
-				return wire.Message{Header: wire.Header{Op: wire.OpOK}}
+			// Versioned invalidation: raise the floor and drop every cached
+			// chunk the write outdated; a delete older than the floor is
+			// refused, never applied out of order.
+			ver := req.Header.Ver
+			if ver == 0 {
+				return wire.ErrorMessage(fmt.Errorf("cache: delobj of %q without a version", req.Header.Key))
 			}
-			c.DeleteObject(req.Header.Key)
+			if ok, cur := vt.Admit(req.Header.Key, hlc.Timestamp(ver)); !ok {
+				sm.staleReject()
+				return wire.Message{Header: wire.Header{Op: wire.OpStale, Ver: uint64(cur)}}
+			}
+			vt.Observe(req.Header.Key, hlc.Timestamp(ver))
+			if c.DropObjectBelow(req.Header.Key, ver) > 0 {
+				sm.invalidated(1)
+			}
 			return wire.Message{Header: wire.Header{Op: wire.OpOK}}
-		case wire.OpIndices:
-			return wire.Message{Header: wire.Header{Op: wire.OpOK, Indices: c.IndicesOf(req.Header.Key)}}
-		case wire.OpSnapshot:
-			return wire.Message{Header: wire.Header{Op: wire.OpOK, Groups: c.Snapshot()}}
 		case wire.OpDigest:
 			if table == nil {
 				return wire.ErrorMessage(fmt.Errorf("cache: digest from %q but cooperative mesh is disabled", req.Header.Region))
@@ -565,11 +499,6 @@ func cacheHandler(c *cache.Cache, table *coop.Table, vt *coherence.VersionTable,
 			return wire.Message{Header: wire.Header{
 				Op: wire.OpDigestAck, Seq: table.Mirror(req.Header.Region).Seq(),
 			}}
-		case wire.OpStats:
-			// Built from the same registry sources /metrics exposes (the
-			// cache's own atomics, the coop table, the dispatch gauge), so
-			// the wire payload and a scrape can never disagree.
-			return wire.Message{Header: wire.Header{Op: wire.OpOK, Stats: sm.statsMap()}}
 		default:
 			return wire.ErrorMessage(fmt.Errorf("cache: unknown op %q", req.Header.Op))
 		}
@@ -577,9 +506,7 @@ func cacheHandler(c *cache.Cache, table *coop.Table, vt *coherence.VersionTable,
 }
 
 // NewHintServer serves an Agar node's request-monitor interface over TCP:
-// single-key OpHint and the batched OpMHint, which resolves several keys'
-// hints in one frame (each key still records one monitored access). The
-// UDP channel stays single-key — one hint per datagram, like the paper's.
+// one OpHint per frame, each recording one monitored access.
 func NewHintServer(addr string, node *core.Node) (*Server, error) {
 	return NewHintServerRec(addr, node, nil)
 }
@@ -593,21 +520,6 @@ func NewHintServerRec(addr string, node *core.Node, rec *trace.Recorder) (*Serve
 		case wire.OpHint:
 			hint := node.HandleRead(req.Header.Key)
 			return wire.Message{Header: wire.Header{Op: wire.OpOK, Key: hint.Key, Indices: hint.CacheChunks}}
-		case wire.OpMHint:
-			if len(req.Header.Keys) > wire.MaxBatchChunks {
-				return wire.ErrorMessage(fmt.Errorf("hint: mhint of %d keys exceeds batch limit %d",
-					len(req.Header.Keys), wire.MaxBatchChunks))
-			}
-			groups := make(map[string][]int, len(req.Header.Keys))
-			for _, key := range req.Header.Keys {
-				hint := node.HandleRead(key)
-				chunks := hint.CacheChunks
-				if chunks == nil {
-					chunks = []int{} // present-but-empty: the key was resolved
-				}
-				groups[key] = chunks
-			}
-			return wire.Message{Header: wire.Header{Op: wire.OpOK, Groups: groups}}
 		default:
 			return wire.ErrorMessage(fmt.Errorf("hint: unknown op %q", req.Header.Op))
 		}
@@ -640,10 +552,14 @@ func NewUDPHintServer(addr string, node *core.Node) (*UDPHintServer, error) {
 				}
 				continue // drop malformed datagrams, as UDP services do
 			}
-			hint := node.HandleRead(req.Header.Key)
-			_ = wire.WriteDatagram(conn, from, wire.Message{
-				Header: wire.Header{Op: wire.OpOK, Key: hint.Key, Indices: hint.CacheChunks},
-			})
+			var reply wire.Message
+			if req.Header.Op == wire.OpHint {
+				reply.Header = wire.Header{Op: wire.OpOK, Indices: node.HandleRead(req.Header.Key).CacheChunks}
+			} else {
+				reply = wire.ErrorMessage(fmt.Errorf("hint: unknown op %q", req.Header.Op))
+			}
+			reply.Header.Key = req.Header.Key // the client matches replies to requests by key
+			_ = wire.WriteDatagram(conn, from, reply)
 		}
 	}()
 	return s, nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"github.com/agardist/agar/internal/backend"
 	"github.com/agardist/agar/internal/cache"
 	"github.com/agardist/agar/internal/coherence"
+	"github.com/agardist/agar/internal/core"
 	"github.com/agardist/agar/internal/geo"
 	"github.com/agardist/agar/internal/metrics"
 	"github.com/agardist/agar/internal/wire"
@@ -20,7 +22,7 @@ import (
 
 // TestShardDispatchFanIn hammers one cache server from many connections
 // across every cache shard, asserting the data plane stays correct, the
-// OpStats counters stay consistent, and the in-flight gauge drains to zero
+// cache counters stay consistent, and the in-flight gauge drains to zero
 // once the fan-in stops.
 func TestShardDispatchFanIn(t *testing.T) {
 	const (
@@ -62,11 +64,11 @@ func TestShardDispatchFanIn(t *testing.T) {
 				case 0: // single put then read-back
 					idx := rng.Intn(indices)
 					want := []byte(fmt.Sprintf("%s#%d", key, idx))
-					if err := remote.Put(cache.EntryID{Key: key, Index: idx}, want); err != nil {
+					if err := cachePut(remote, cache.EntryID{Key: key, Index: idx}, want); err != nil {
 						errs <- err
 						return
 					}
-					got, err := remote.Get(cache.EntryID{Key: key, Index: idx})
+					got, err := cacheGet(remote, cache.EntryID{Key: key, Index: idx})
 					if err != nil {
 						errs <- fmt.Errorf("get %s#%d: %w", key, idx, err)
 						return
@@ -81,7 +83,7 @@ func TestShardDispatchFanIn(t *testing.T) {
 						idx := rng.Intn(indices)
 						chunks[idx] = []byte(fmt.Sprintf("%s#%d", key, idx))
 					}
-					if err := remote.PutMulti(key, chunks); err != nil {
+					if err := remote.PutMultiVer(key, chunks, 0); err != nil {
 						errs <- err
 						return
 					}
@@ -111,26 +113,18 @@ func TestShardDispatchFanIn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	remote := NewRemoteCache(srv.Addr())
-	defer remote.Close()
-	stats, err := remote.Stats()
-	if err != nil {
-		t.Fatal(err)
+	if n := c.ShardCount(); n != shards {
+		t.Fatalf("shards = %d, want %d", n, shards)
 	}
-	if stats["shards"] != shards {
-		t.Fatalf("stats shards = %d, want %d", stats["shards"], shards)
+	stats := c.Stats()
+	if stats.Gets <= 0 || stats.Sets <= 0 {
+		t.Fatalf("stats show no traffic: %+v", stats)
 	}
-	if stats["gets"] <= 0 || stats["sets"] <= 0 {
-		t.Fatalf("stats show no traffic: %v", stats)
+	if stats.Hits > stats.Gets {
+		t.Fatalf("hits %d exceed gets %d", stats.Hits, stats.Gets)
 	}
-	if stats["hits"] > stats["gets"] {
-		t.Fatalf("hits %d exceed gets %d", stats["hits"], stats["gets"])
-	}
-	if _, ok := stats["dispatch_queue_depth"]; !ok {
-		t.Fatalf("stats missing dispatch_queue_depth: %v", stats)
-	}
-	if depth := stats["dispatch_queue_depth"]; depth != 0 {
-		t.Fatalf("dispatch_queue_depth = %d after quiesce, want 0", depth)
+	if depth := srv.QueueDepth(); depth != 0 {
+		t.Fatalf("dispatch queue depth = %d after quiesce, want 0", depth)
 	}
 }
 
@@ -150,7 +144,7 @@ func TestSplitBatchReplyOrdering(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		want[i] = []byte(fmt.Sprintf("chunk-%02d", i))
 	}
-	if err := remote.PutMulti("obj", want); err != nil {
+	if err := remote.PutMultiVer("obj", want, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -263,15 +257,16 @@ func TestControlOpOrdersAfterPipelinedOps(t *testing.T) {
 		// across every shard, then the object-level delete, then the
 		// residency probe.
 		var burst []byte
+		all := make([]int, puts)
 		for i := 0; i < puts; i++ {
-			frame, err := wire.Encode(wire.Message{
-				Header: wire.Header{Op: wire.OpPut, Key: "obj", Index: i}, Body: []byte("data")})
+			all[i] = i
+			frame, err := wire.Encode(mputFrame("obj", map[int][]byte{i: []byte("data")}))
 			if err != nil {
 				t.Fatal(err)
 			}
 			burst = append(burst, frame...)
 		}
-		for _, h := range []wire.Header{{Op: wire.OpDelObj, Key: "obj"}, {Op: wire.OpIndices, Key: "obj"}} {
+		for _, h := range []wire.Header{{Op: wire.OpDelObj, Key: "obj", Ver: uint64(round + 1)}, {Op: wire.OpMGet, Key: "obj", Indices: all}} {
 			frame, err := wire.Encode(wire.Message{Header: h})
 			if err != nil {
 				t.Fatal(err)
@@ -368,7 +363,7 @@ func BenchmarkDispatchGet(b *testing.B) {
 	defer rc.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rc.Get(cache.EntryID{Key: "k", Index: i % 64}); err != nil {
+		if _, err := cacheGet(rc, cache.EntryID{Key: "k", Index: i % 64}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -433,8 +428,7 @@ func TestDispatchCleanDrain(t *testing.T) {
 		}
 		conns = append(conns, conn)
 		for op := 0; op < 32; op++ {
-			msg := wire.Message{Header: wire.Header{Op: wire.OpPut, Key: fmt.Sprintf("k%d", i), Index: op},
-				Body: []byte("data")}
+			msg := mputFrame(fmt.Sprintf("k%d", i), map[int][]byte{op: []byte("data")})
 			if err := wire.Write(conn, msg); err != nil {
 				t.Fatal(err)
 			}
@@ -461,14 +455,15 @@ func TestDispatchCleanDrain(t *testing.T) {
 
 // TestServerQueueDepthTracksInFlight blocks the handler under requests from
 // two connections: the depth gauge must count both while they are held,
-// the wire stats op must leave itself out, and the gauge must read 0 once
+// the /metrics gauge must read the same, and the gauge must read 0 once
 // the client holds every reply.
 func TestServerQueueDepthTracksInFlight(t *testing.T) {
 	release := make(chan struct{})
 	arrived := make(chan struct{}, 2)
 	c := cache.NewSharded(1<<20, 4, func() cache.Policy { return cache.NewLRU() })
 	depth := new(atomic.Int64)
-	sm := newCacheServerMetrics(metrics.NewRegistry(), "", c, nil, depth)
+	reg := metrics.NewRegistry()
+	sm := newCacheServerMetrics(reg, "", c, nil, depth)
 	inner := cacheHandler(c, nil, coherence.NewVersionTable(), sm, wire.NewBufferPool())
 	h := func(req wire.Message) wire.Message {
 		if req.Header.Op == wire.OpGet {
@@ -505,12 +500,9 @@ func TestServerQueueDepthTracksInFlight(t *testing.T) {
 	if got := srv.QueueDepth(); got != 2 {
 		t.Fatalf("depth %d with two handlers blocked, want 2", got)
 	}
-	stats, err := wire.Call(mustDial(t, srv.Addr()), wire.Message{Header: wire.Header{Op: wire.OpStats}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := stats.Header.Stats["dispatch_queue_depth"]; got != 2 {
-		t.Fatalf("wire dispatch_queue_depth = %d with two handlers blocked, want 2", got)
+	fam, _ := metrics.SelectFamily(reg.Gather(), metrics.NameServerQueueDepth)
+	if s, ok := metrics.SelectSample(fam, map[string]string{"server": "cache"}); !ok || s.Value != 2 {
+		t.Fatalf("%s = %v (ok=%v) with two handlers blocked, want 2", metrics.NameServerQueueDepth, s.Value, ok)
 	}
 	close(release)
 	for _, conn := range conns {
@@ -531,4 +523,145 @@ func mustDial(t *testing.T, addr string) net.Conn {
 	}
 	t.Cleanup(func() { conn.Close() })
 	return conn
+}
+
+// TestServersRejectRemovedOps sends every opcode the protocol no longer
+// declares to each server that used to answer it: the reply is an OpError
+// naming the op, and the connection stays open for the op that follows.
+func TestServersRejectRemovedOps(t *testing.T) {
+	cacheSrv, err := NewCacheServer("127.0.0.1:0", cache.New(1<<20, cache.NewLRU()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cacheSrv.Close()
+	storeSrv, err := NewStoreServer("127.0.0.1:0", backend.NewStore(geo.Frankfurt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer storeSrv.Close()
+	node := core.NewNode(core.NodeParams{
+		Region: geo.Frankfurt, Regions: geo.DefaultRegions(),
+		Placement: geo.NewRoundRobin(geo.DefaultRegions(), false),
+		K:         9, M: 3, CacheBytes: 90 * 1024, ChunkBytes: 1024,
+	})
+	hintSrv, err := NewHintServer("127.0.0.1:0", node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hintSrv.Close()
+
+	removed := []string{"stats", "snapshot", "indices", "delete", "mhint"}
+	for _, tc := range []struct {
+		name    string
+		addr    string
+		removed []string
+		kept    wire.Header // answered after the rejects, on the same connection
+		keptOp  string      // its reply op
+	}{
+		{"cache", cacheSrv.Addr(), append([]string{"put"}, removed...),
+			wire.Header{Op: wire.OpGet, Key: "k"}, wire.OpNotFound},
+		{"store", storeSrv.Addr(), append([]string{"get", "delobj"}, removed...),
+			wire.Header{Op: wire.OpMGet, Key: "k", Indices: []int{0}}, wire.OpOK},
+		{"hint", hintSrv.Addr(), removed,
+			wire.Header{Op: wire.OpHint, Key: "k"}, wire.OpOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn := mustDial(t, tc.addr)
+			for _, op := range tc.removed {
+				resp, err := wire.Call(conn, wire.Message{Header: wire.Header{Op: op, Key: "k", Index: 1}, Body: []byte("x")})
+				if resp.Header.Op != wire.OpError || err == nil {
+					t.Fatalf("op %q: reply %+v, err %v; want an OpError", op, resp.Header, err)
+				}
+				if want := fmt.Sprintf("%q", op); !strings.Contains(resp.Header.Error, want) {
+					t.Errorf("op %q: error %q does not name the op", op, resp.Header.Error)
+				}
+			}
+			resp, err := wire.Call(conn, wire.Message{Header: tc.kept})
+			if err != nil || resp.Header.Op != tc.keptOp {
+				t.Fatalf("%s after the rejects: reply %+v, err %v; want %s", tc.kept.Op, resp.Header, err, tc.keptOp)
+			}
+		})
+	}
+
+	// The UDP hint channel answers each datagram on its own; a removed op
+	// gets an error reply that names the op and echoes the key.
+	udpSrv, err := NewUDPHintServer("127.0.0.1:0", node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer udpSrv.Close()
+	client, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	srvAddr, err := net.ResolveUDPAddr("udp", udpSrv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64<<10)
+	for _, op := range removed {
+		if err := wire.WriteDatagram(client, srvAddr, wire.Message{Header: wire.Header{Op: op, Key: "k"}}); err != nil {
+			t.Fatal(err)
+		}
+		client.SetReadDeadline(time.Now().Add(5 * time.Second))
+		resp, _, err := wire.ReadDatagram(client, buf)
+		if err != nil || resp.Header.Op != wire.OpError || resp.Header.Key != "k" ||
+			!strings.Contains(resp.Header.Error, fmt.Sprintf("%q", op)) {
+			t.Fatalf("udp op %q: reply %+v, err %v; want an OpError naming the op for key k", op, resp.Header, err)
+		}
+	}
+}
+
+// TestUDPHinterDiscardsForeignReplies runs the UDP hinter against a server
+// that answers every request twice, and against a third socket that sends
+// it a forged reply: each call must return its own key's hint, never the
+// duplicate left over from the call before or the forged datagram.
+func TestUDPHinterDiscardsForeignReplies(t *testing.T) {
+	srv, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	defer func() { srv.Close(); <-done }()
+	go func() {
+		defer close(done)
+		buf := make([]byte, 64<<10)
+		for {
+			req, from, err := wire.ReadDatagram(srv, buf)
+			if err != nil {
+				return
+			}
+			// The hint names the key's length, so a reply for another key
+			// is told apart by value.
+			reply := wire.Message{Header: wire.Header{Op: wire.OpOK, Key: req.Header.Key, Indices: []int{len(req.Header.Key)}}}
+			_ = wire.WriteDatagram(srv, from, reply)
+			_ = wire.WriteDatagram(srv, from, reply)
+		}
+	}()
+
+	h, err := NewUDPHinter(srv.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	for _, key := range []string{"a", "bbb", "cc"} {
+		got, err := h.Hint(key)
+		if err != nil || len(got) != 1 || got[0] != len(key) {
+			t.Fatalf("Hint(%q) = %v, %v; want [%d]", key, got, err, len(key))
+		}
+	}
+
+	forger, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer forger.Close()
+	forged := wire.Message{Header: wire.Header{Op: wire.OpOK, Key: "dddd", Indices: []int{99}}}
+	if err := wire.WriteDatagram(forger, h.conn.LocalAddr(), forged); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := h.Hint("dddd"); err != nil || len(got) != 1 || got[0] != 4 {
+		t.Fatalf("Hint(dddd) = %v, %v; want [4], not the forged reply", got, err)
+	}
 }

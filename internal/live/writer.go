@@ -89,7 +89,7 @@ func NewNetworkWriter(c *Cluster, region geo.RegionID) *NetworkWriter {
 		cacheC:  NewRemoteCache(c.CacheAddr()),
 		sampler: sampler,
 		hist: c.reg.NewHistogramVec(metrics.NameClientWriteSeconds,
-			"Client-observed end-to-end latency of one versioned write or delete in seconds.",
+			"Client-observed end-to-end latency of one versioned write in seconds.",
 			writeBuckets, "region").With(region.String()),
 	}
 }
@@ -97,10 +97,6 @@ func NewNetworkWriter(c *Cluster, region geo.RegionID) *NetworkWriter {
 // SetClock swaps the writer's physical time source — the virtual-time hook
 // for deterministic tests; nil restores the wall clock.
 func (w *NetworkWriter) SetClock(now func() time.Time) { w.clock.SetClock(now) }
-
-// Clock exposes the writer's hybrid clock so collocated components (a
-// reader observing remote versions, tests) can merge timestamps into it.
-func (w *NetworkWriter) Clock() *hlc.Clock { return w.clock }
 
 // Close drops every pooled connection.
 func (w *NetworkWriter) Close() {
@@ -169,45 +165,6 @@ func (w *NetworkWriter) Write(key string, data []byte) (uint64, error) {
 	// Local invalidation: raise the cache server's floor so pre-write
 	// chunks are dropped now rather than at the next digest. Best-effort
 	// stale refusal is fine — it means a newer write already invalidated.
-	if err := w.cacheC.DeleteObjectVer(key, ver); err != nil {
-		var stale *backend.StaleError
-		if !errors.As(err, &stale) {
-			return 0, fmt.Errorf("live: invalidate %q: %w", key, err)
-		}
-	}
-	w.observe(start)
-	return ver, nil
-}
-
-// Delete removes the object from every region under a fresh version,
-// persisting tombstone floors so a zombie write-back of the old data is
-// refused, and invalidates the local cache. It returns the delete's
-// version.
-func (w *NetworkWriter) Delete(key string) (uint64, error) {
-	start := time.Now()
-	ver := uint64(w.clock.Now())
-	regions := w.cluster.cfg.Regions
-	errs := make(chan error, len(regions))
-	var wg sync.WaitGroup
-	for _, region := range regions {
-		wg.Add(1)
-		go func(region geo.RegionID) {
-			defer wg.Done()
-			w.delay(region)
-			if err := w.stores[region].DeleteObjectVer(key, ver); err != nil {
-				errs <- fmt.Errorf("live: delete %q in %v: %w", key, region, err)
-				return
-			}
-			errs <- nil
-		}(region)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
 	if err := w.cacheC.DeleteObjectVer(key, ver); err != nil {
 		var stale *backend.StaleError
 		if !errors.As(err, &stale) {

@@ -226,7 +226,7 @@ func TestSweepFreshIssuerPerPoint(t *testing.T) {
 func mkPoint(offered, achieved, p99 float64) Point {
 	return Point{
 		OfferedOps: offered, AchievedOps: achieved, DurationS: 1,
-		Ops: map[string]OpStats{
+		Ops: map[string]KindStats{
 			"get":  {Count: int64(achieved * 0.7), MeanUs: p99 / 2, P50Us: p99 / 2, P90Us: p99 * 0.8, P99Us: p99, P999Us: p99 * 2, MaxUs: p99 * 3},
 			"mget": {Count: int64(achieved * 0.3), MeanUs: p99, P50Us: p99, P90Us: p99 * 1.5, P99Us: p99 * 2, P999Us: p99 * 3, MaxUs: p99 * 4},
 		},

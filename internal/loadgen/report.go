@@ -22,10 +22,10 @@ const SlowK = 8
 // at or above this efficiency.
 const kneeEfficiency = 0.95
 
-// OpStats summarizes one op kind's latency distribution at one offered
+// KindStats summarizes one op kind's latency distribution at one offered
 // rate. All latencies are microseconds, measured from each op's scheduled
 // arrival time.
-type OpStats struct {
+type KindStats struct {
 	Count  int64   `json:"count"`
 	Errors int64   `json:"errors"`
 	MeanUs float64 `json:"mean_us"`
@@ -48,8 +48,8 @@ type Point struct {
 	// SendLagMaxUs is the worst scheduler lateness (actual minus scheduled
 	// issue time). A large value means the generator itself could not hold
 	// the schedule and the point overstates server latency.
-	SendLagMaxUs float64            `json:"send_lag_max_us"`
-	Ops          map[string]OpStats `json:"ops"`
+	SendLagMaxUs float64              `json:"send_lag_max_us"`
+	Ops          map[string]KindStats `json:"ops"`
 	// SlowOps lists the rung's SlowK slowest in-window completions, slowest
 	// first. Each carries the trace ID the issuer propagated on the wire, so
 	// a tail-latency outlier here joins directly against the server-side
@@ -93,7 +93,7 @@ type Report struct {
 // summarize sorts one kind's samples and reads exact quantiles off the
 // sorted slice (sample counts here are small enough that exactness beats
 // a sketch). The input slice is reordered.
-func summarize(lats []time.Duration, errs int64) OpStats {
+func summarize(lats []time.Duration, errs int64) KindStats {
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 	q := func(p float64) float64 {
@@ -107,7 +107,7 @@ func summarize(lats []time.Duration, errs int64) OpStats {
 	for _, d := range lats {
 		sum += d
 	}
-	return OpStats{
+	return KindStats{
 		Count:  int64(len(lats)),
 		Errors: errs,
 		MeanUs: us(sum) / float64(len(lats)),

@@ -136,7 +136,7 @@ func Run(cfg Config, issuer Issuer) (Point, error) {
 		DurationS:    cfg.Duration.Seconds(),
 		WarmupS:      cfg.Warmup.Seconds(),
 		SendLagMaxUs: float64(maxLag) / float64(time.Microsecond),
-		Ops:          make(map[string]OpStats, len(rec.samples)),
+		Ops:          make(map[string]KindStats, len(rec.samples)),
 	}
 	rec.mu.Lock()
 	for kind, lats := range rec.samples {

@@ -9,9 +9,8 @@
 // registry lock. The registry lock is only held while registering families,
 // interning children, and gathering a scrape.
 //
-// One Registry backs both observability surfaces: the Prometheus /metrics
-// endpoint and the wire-level stats op both read the same registered
-// children, so the two can never disagree. The package also includes a
+// A Registry backs the Prometheus /metrics endpoint, the servers' only
+// counter surface. The package also includes a
 // parser for its own exposition format (ParseText) plus histogram quantile
 // and delta helpers, so scrape-side tooling — the scenario live runner, the
 // golden tests — needs no external client library.

@@ -16,6 +16,7 @@ import (
 	"github.com/agardist/agar/internal/live"
 	"github.com/agardist/agar/internal/metrics"
 	"github.com/agardist/agar/internal/monitor"
+	"github.com/agardist/agar/internal/wire"
 )
 
 func TestHealthFlipUnderSaturation(t *testing.T) {
@@ -42,17 +43,16 @@ func TestHealthFlipUnderSaturation(t *testing.T) {
 	defer hsrv.Close()
 
 	// Seed chunks so the saturating mgets do real work.
-	seed, err := live.DialPipelined(srv.Addr(), 16)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
+	seed := live.NewRemoteCache(srv.Addr())
 	payload := make([]byte, 8<<10)
 	indices := make([]int, 32)
+	chunks := make(map[int][]byte, len(indices))
 	for i := range indices {
 		indices[i] = i
-		if err := seed.Put("obj", i, payload); err != nil {
-			t.Fatalf("seed put %d: %v", i, err)
-		}
+		chunks[i] = payload
+	}
+	if err := seed.PutMultiVer("obj", chunks, 0); err != nil {
+		t.Fatalf("seed mput: %v", err)
 	}
 	seed.Close()
 
@@ -91,7 +91,7 @@ func TestHealthFlipUnderSaturation(t *testing.T) {
 					return
 				default:
 				}
-				pending = append(pending, cl.GoMGet("obj", indices))
+				pending = append(pending, cl.Go(wire.Message{Header: wire.Header{Op: wire.OpMGet, Key: "obj", Indices: indices}}))
 				if len(pending) >= 16 {
 					_, _ = pending[0].Wait()
 					pending = pending[1:]

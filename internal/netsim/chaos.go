@@ -206,12 +206,3 @@ func (s *Schedule) CutAt(t time.Time, from, to geo.RegionID) bool {
 	}
 	return false
 }
-
-// Rules returns a copy of the installed rules.
-func (s *Schedule) Rules() []Rule {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]Rule, len(s.rules))
-	copy(out, s.rules)
-	return out
-}

@@ -238,6 +238,3 @@ func (s *Sampler) perturb(base time.Duration) time.Duration {
 	f := 1 + s.jitter*(2*u-1)
 	return time.Duration(float64(base) * f)
 }
-
-// Matrix exposes the sampler's underlying latency matrix (for planning).
-func (s *Sampler) Matrix() *geo.LatencyMatrix { return s.matrix }

@@ -353,13 +353,7 @@ func RunLiveSmoke(spec Spec, opts LiveOptions) (*LiveResult, error) {
 		res.PeerReads = &s
 		w := wanLat.Summarize()
 		res.WANReads = &w
-		peerCache := live.NewRemoteCache(peer.CacheAddr())
-		stats, err := peerCache.Stats()
-		peerCache.Close()
-		if err == nil {
-			res.PeerHits = stats["peer_hits"]
-			res.PeerMisses = stats["peer_misses"]
-		}
+		res.PeerHits, res.PeerMisses = peer.CoopTable().PeerReads()
 		if age, ok := cluster.CoopTable().StalestAge(); ok {
 			res.DigestAgeMS = int64(age / time.Millisecond)
 		}

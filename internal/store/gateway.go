@@ -1,7 +1,6 @@
 package store
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -264,18 +263,4 @@ func splitInts(s string) ([]int, error) {
 		out[i] = x
 	}
 	return out, nil
-}
-
-// ListenAndServe runs a gateway server on addr until ctx is cancelled —
-// the engine under cmd/blob-server, importable by tests.
-func ListenAndServe(ctx context.Context, addr string, bs BlobStore) error {
-	srv := &http.Server{Addr: addr, Handler: NewGateway(bs)}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	select {
-	case <-ctx.Done():
-		return srv.Close()
-	case err := <-errCh:
-		return err
-	}
 }

@@ -38,19 +38,14 @@ const MaxBatchChunks = 256
 
 // Op codes carried in Header.Op.
 const (
-	OpGet       = "get"        // fetch one chunk
-	OpPut       = "put"        // store one chunk
+	OpGet       = "get"        // fetch one chunk from a cache
+	OpPut       = "put"        // store one chunk in a region's store
 	OpMGet      = "mget"       // fetch many chunks of one key in one round trip
 	OpMPut      = "mput"       // store many chunks of one key in one round trip
-	OpDelete    = "delete"     // remove one chunk
 	OpDelObj    = "delobj"     // remove all chunks of an object
-	OpIndices   = "indices"    // list resident chunk indices for a key
 	OpHint      = "hint"       // request a caching hint (Agar monitor)
-	OpMHint     = "mhint"      // request caching hints for many keys at once
 	OpDigest    = "digest"     // advertise a cache's residency to a peer
 	OpDigestAck = "digest-ack" // acknowledge a digest frame (echoes Seq)
-	OpStats     = "stats"      // fetch server statistics
-	OpSnapshot  = "snapshot"   // fetch cache contents summary
 	OpOK        = "ok"         // success response
 	OpError     = "error"      // failure response
 	OpNotFound  = "not-found"  // missing chunk response
@@ -65,10 +60,8 @@ type Header struct {
 	Key string `json:"key,omitempty"`
 	// Index is the chunk index, when relevant.
 	Index int `json:"index,omitempty"`
-	// Keys carries object key lists (batched hint requests).
-	Keys []string `json:"keys,omitempty"`
-	// Indices carries chunk index lists (hints, residency answers, batch
-	// chunk frames).
+	// Indices carries chunk index lists (hints, mput acknowledgements,
+	// batch chunk frames).
 	Indices []int `json:"indices,omitempty"`
 	// Region names the sending node's region on cooperative-cache frames:
 	// the advertiser on OpDigest, the reading client on peer OpMGet calls
@@ -122,9 +115,8 @@ type Header struct {
 	KeyVers map[string]uint64 `json:"key_vers,omitempty"`
 	// Error carries the error text for OpError responses.
 	Error string `json:"error,omitempty"`
-	// Stats carries free-form counters for OpStats responses.
-	Stats map[string]int64 `json:"stats,omitempty"`
-	// Groups carries the cache snapshot (key -> resident indices).
+	// Groups carries an OpDigest frame's residency (key -> resident
+	// indices).
 	Groups map[string][]int `json:"groups,omitempty"`
 }
 
