@@ -1,18 +1,14 @@
 // Command agar-bench regenerates the paper's evaluation tables and figures
-// against the simulated wide-area deployment, and — with -load — sweeps
-// offered load against a live localhost cluster through an open-loop,
-// coordinated-omission-safe generator (internal/loadgen), emitting the
-// latency-vs-offered-load curve and saturation knee as BENCH_load.json
-// plus a marker-fenced SCENARIOS.md section.
+// against the simulated wide-area deployment. With -probe it instead sends
+// a handful of traced ops at a running cache server. Load against a live
+// cluster is measured by the benchmark module (benchmark/README.md).
 //
 // Usage:
 //
 //	agar-bench -exp all
 //	agar-bench -exp fig6 -region sydney -runs 5 -ops 1000
 //	agar-bench -exp fig8a -seed 7
-//	agar-bench -load -rates 1000,2000,4000,8000,16000 -duration 3s
-//	agar-bench -load -scenarios-md SCENARIOS.md
-//	agar-bench -loadcheck BENCH_load.json
+//	agar-bench -probe 127.0.0.1:7101
 //
 // Experiments: table1, fig2, fig6, fig7, fig8a, fig8b, fig9, fig10, all.
 package main
@@ -40,38 +36,12 @@ func main() {
 		seed    = flag.Int64("seed", 1, "deterministic seed")
 		skew    = flag.Float64("skew", 1.1, "default Zipfian skew")
 		solver  = flag.String("solver", "populate", "agar solver: populate|exact|greedy")
-
-		load       = flag.Bool("load", false, "run the open-loop saturation sweep against a live localhost cluster instead of the paper figures")
-		loadCheck  = flag.String("loadcheck", "", "validate a BENCH_load.json produced by -load, then exit")
-		probe      = flag.String("probe", "", "send a handful of traced ops at a running cache server (host:port), then exit — CI's tracing smoke client")
-		rates      = flag.String("rates", "1000,2000,4000,8000,16000", "offered-load ladder in ops/s for -load")
-		duration   = flag.Duration("duration", 3*time.Second, "measured window per -load point")
-		loadWarmup = flag.Duration("load-warmup", 500*time.Millisecond, "warm-up per -load point (latencies discarded)")
-		conns      = flag.Int("conns", 4, "pipelined connections driving each -load point")
-		window     = flag.Int("window", 64, "in-flight frames per pipelined connection (0 = default 64)")
-		chunks     = flag.Int("chunks", 8, "chunks per object in the -load working set")
-		chunkBytes = flag.Int("chunk-bytes", 4096, "bytes per chunk in the -load working set")
-		mix        = flag.String("mix", "get=70,mget=30", "op mix for -load, kind=weight pairs")
-		loadOut    = flag.String("load-out", "BENCH_load.json", "where -load writes its JSON report")
-		scenMD     = flag.String("scenarios-md", "", "SCENARIOS.md to splice the -load section into (off when empty)")
+		probe   = flag.String("probe", "", "send a handful of traced ops at a running cache server (host:port), then exit — CI's tracing smoke client")
 	)
 	flag.Parse()
 
-	if *loadCheck != "" {
-		runLoadCheck(*loadCheck)
-		return
-	}
 	if *probe != "" {
 		runProbe(*probe)
-		return
-	}
-	if *load {
-		runLoad(loadParams{
-			rates: *rates, duration: *duration, warmup: *loadWarmup,
-			conns: *conns, window: *window, objects: *objects,
-			chunks: *chunks, chunkBytes: *chunkBytes, mix: *mix,
-			seed: *seed, skew: *skew, out: *loadOut, scenariosMD: *scenMD,
-		})
 		return
 	}
 

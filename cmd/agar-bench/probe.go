@@ -2,8 +2,8 @@ package main
 
 import (
 	"fmt"
+	"net"
 
-	"github.com/agardist/agar/internal/live"
 	"github.com/agardist/agar/internal/wire"
 )
 
@@ -14,11 +14,11 @@ import (
 // printed here. Any transport or remote error is fatal: the probe's only
 // job is to make the flight recorder observably non-empty.
 func runProbe(addr string) {
-	c, err := live.DialPipelined(addr, 0)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		fatalf("probe: dial %s: %v", addr, err)
 	}
-	defer c.Close()
+	defer conn.Close()
 
 	var seq uint64
 	var first, last string
@@ -29,7 +29,7 @@ func runProbe(addr string) {
 			first = h.Trace
 		}
 		last = h.Trace
-		resp, err := c.Go(wire.Message{Header: h, Body: body}).Wait()
+		resp, err := wire.Call(conn, wire.Message{Header: h, Body: body})
 		if err != nil {
 			fatalf("probe: %s %s: %v", h.Op, h.Key, err)
 		}
@@ -51,15 +51,12 @@ func runProbe(addr string) {
 	}
 	send(wire.Header{Op: wire.OpMPut, Key: key, Indices: indices, Sizes: sizes}, body)
 	for i := 0; i < 4; i++ {
-		if resp := send(wire.Header{Op: wire.OpGet, Key: key, Index: i}, nil); resp.Header.Op != wire.OpOK {
-			fatalf("probe: get %s/%d came back %s", key, i, resp.Header.Op)
+		if resp := send(wire.Header{Op: wire.OpMGet, Key: key, Indices: indices}, nil); len(resp.Header.Indices) != len(indices) {
+			fatalf("probe: mget %s came back with chunks %v, want %v", key, resp.Header.Indices, indices)
 		}
 	}
-	for i := 0; i < 2; i++ {
-		send(wire.Header{Op: wire.OpMGet, Key: key, Indices: indices}, nil)
-	}
-	// A miss exercises the not-found reply path under a trace as well.
-	send(wire.Header{Op: wire.OpGet, Key: "probe-missing", Index: 0}, nil)
+	// A miss exercises the empty-reply path under a trace as well.
+	send(wire.Header{Op: wire.OpMGet, Key: "probe-missing", Indices: []int{0}}, nil)
 
 	fmt.Printf("probe: %d traced ops against %s ok (trace ids %s..%s); scrape /debug/traces on its metrics port\n",
 		seq, addr, first, last)

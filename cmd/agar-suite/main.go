@@ -256,13 +256,12 @@ func run() int {
 			return 1
 		}
 		mdPath := filepath.Join(*out, "SCENARIOS.md")
-		// agar-bench -load and agar-suite -soak maintain marker-fenced
-		// sections in the same file, and the solver-gap line is published
-		// in a third; carry them forward verbatim so a suite rerun never
-		// erases the latest load curve, soak timeline or gap.
+		// agar-suite -soak maintains a marker-fenced section in the same
+		// file, and the solver-gap line is published in a second; carry
+		// them forward verbatim so a suite rerun never erases the latest
+		// soak timeline or gap.
 		if old, err := os.ReadFile(mdPath); err == nil {
 			for _, m := range [][2]string{
-				{scenario.LoadSectionBegin, scenario.LoadSectionEnd},
 				{scenario.SoakSectionBegin, scenario.SoakSectionEnd},
 				{scenario.SolverGapSectionBegin, scenario.SolverGapSectionEnd},
 			} {

@@ -1,6 +1,6 @@
 // Command cache-server runs a standalone chunk cache over TCP with a
-// memcached-like surface (single-chunk get, batched mget/mput, versioned
-// object invalidation), a pluggable eviction policy, a sharded store for
+// memcached-like surface (batched mget/mput, versioned object
+// invalidation), a pluggable eviction policy, a sharded store for
 // concurrent client fan-in, and an optional cooperative-cache mesh: with
 // -peers set, the server periodically advertises its residency digest to
 // peer cache servers and mirrors the digests it receives, reporting peer

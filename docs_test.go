@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -261,6 +262,246 @@ func TestDocsSuiteExists(t *testing.T) {
 	}
 }
 
+// ciTestPattern matches a -run or -bench pattern on a go test command
+// line, quoted or bare.
+var ciTestPattern = regexp.MustCompile(`(?:^|\s)-(?:run|bench)[= ](?:'([^']*)'|"([^"]*)"|([^\s'"]+))`)
+
+// splitTopLevel splits a go test -run/-bench pattern on sep where sep sits
+// outside parentheses and brackets, the way go test splits its levels.
+func splitTopLevel(pattern string, sep byte) []string {
+	var parts []string
+	depth, start := 0, 0
+	for i := 0; i < len(pattern); i++ {
+		switch pattern[i] {
+		case '\\':
+			i++
+		case '(', '[':
+			depth++
+		case ')', ']':
+			depth--
+		case sep:
+			if depth == 0 {
+				parts = append(parts, pattern[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(parts, pattern[start:])
+}
+
+// testFuncNames returns the name of every top-level Test, Benchmark and
+// Fuzz function in the repository's _test.go files.
+func testFuncNames(t *testing.T) []string {
+	t.Helper()
+	var names []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil {
+				continue
+			}
+			for _, prefix := range []string{"Test", "Benchmark", "Fuzz"} {
+				if strings.HasPrefix(fn.Name.Name, prefix) {
+					names = append(names, fn.Name.Name)
+					break
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// TestDocsCINamesExist checks that every -run and -bench pattern on a
+// go test line of the CI workflow still selects something: each top-level alternative (the
+// pattern's first /-level, split on |) must match, as an unanchored
+// regexp, at least one Test, Benchmark or Fuzz function in the
+// repository. A CI step whose test was renamed or deleted would otherwise
+// pass while running nothing. An alternative of ^$ (no tests, the
+// benchmark-only idiom) is exempt.
+func TestDocsCINamesExist(t *testing.T) {
+	data, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := testFuncNames(t)
+	if len(names) == 0 {
+		t.Fatal("found no test functions")
+	}
+	checked := 0
+	var patterns []string
+	for _, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSpace(line)
+		if strings.HasPrefix(line, "#") || !strings.Contains(line, "go test ") {
+			continue
+		}
+		for _, m := range ciTestPattern.FindAllStringSubmatch(line, -1) {
+			patterns = append(patterns, m[1]+m[2]+m[3])
+		}
+	}
+	for _, pattern := range patterns {
+		for _, alt := range splitTopLevel(splitTopLevel(pattern, '/')[0], '|') {
+			if alt == "^$" {
+				continue
+			}
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("ci.yml pattern %q: alternative %q: %v", pattern, alt, err)
+				continue
+			}
+			checked++
+			found := false
+			for _, name := range names {
+				if re.MatchString(name) {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("ci.yml pattern %q: %q matches no Test, Benchmark or Fuzz function", pattern, alt)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no -run/-bench patterns found in ci.yml")
+	}
+}
+
+// flagCall maps the flag package's registration functions to the argument
+// index that holds the flag name.
+var flagCall = map[string]int{
+	"Bool": 0, "Duration": 0, "Float64": 0, "Func": 0, "BoolFunc": 0, "Int": 0,
+	"Int64": 0, "String": 0, "Uint": 0, "Uint64": 0,
+	"BoolVar": 1, "DurationVar": 1, "Float64Var": 1, "IntVar": 1, "Int64Var": 1,
+	"StringVar": 1, "TextVar": 1, "UintVar": 1, "Uint64Var": 1, "Var": 1,
+}
+
+// registeredFlags returns the flags a cmd/<name> main registers on the
+// flag package's command line, read from its non-test sources.
+func registeredFlags(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	fset := token.NewFileSet()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := make(map[string]bool)
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			if !ok || pkg.Name != "flag" {
+				return true
+			}
+			arg, ok := flagCall[sel.Sel.Name]
+			if !ok || arg >= len(call.Args) {
+				return true
+			}
+			lit, ok := call.Args[arg].(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				t.Errorf("%s: flag.%s with a non-literal name", fset.Position(call.Pos()), sel.Sel.Name)
+				return true
+			}
+			name, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flags[name] = true
+			return true
+		})
+	}
+	return flags
+}
+
+var (
+	readmeCmdSection = regexp.MustCompile(`^### (\S+) —`)
+	readmeFlagCell   = regexp.MustCompile("`-([A-Za-z0-9][A-Za-z0-9_-]*)`")
+)
+
+// TestDocsFlagTables checks README.md's command reference against the
+// code: for every "### <cmd> —" section naming a cmd/<cmd> main, the
+// flags in the section's "| `-flag` |" rows must be exactly the flags the
+// main registers (parsed from its flag.* calls), no more and no fewer.
+func TestDocsFlagTables(t *testing.T) {
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := make(map[string]map[string]bool)
+	var cmd string
+	for _, line := range strings.Split(string(data), "\n") {
+		if m := readmeCmdSection.FindStringSubmatch(line); m != nil {
+			cmd = ""
+			if _, err := os.Stat(filepath.Join("cmd", m[1], "main.go")); err == nil {
+				cmd = m[1]
+				documented[cmd] = make(map[string]bool)
+			}
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			cmd = ""
+			continue
+		}
+		if cmd == "" || !strings.HasPrefix(line, "| `-") {
+			continue
+		}
+		cells := strings.Split(line, "|")
+		for _, m := range readmeFlagCell.FindAllStringSubmatch(cells[1], -1) {
+			documented[cmd][m[1]] = true
+		}
+	}
+	if len(documented) < 5 {
+		t.Fatalf("README.md command reference documents %d commands; expected every cmd/ main", len(documented))
+	}
+	for cmd, rows := range documented {
+		registered := registeredFlags(t, filepath.Join("cmd", cmd))
+		for name := range registered {
+			if !rows[name] {
+				t.Errorf("README.md %s table has no row for -%s, which cmd/%s registers", cmd, name, cmd)
+			}
+		}
+		for name := range rows {
+			if !registered[name] {
+				t.Errorf("README.md %s table documents -%s, which cmd/%s does not register", cmd, name, cmd)
+			}
+		}
+	}
+}
+
 // testOnlyExportKinds are the reasons an exported internal/ declaration
 // may have no caller outside tests. Every testOnlyExports entry starts
 // with one of them.
@@ -277,7 +518,6 @@ var testOnlyExportKinds = []string{
 var testOnlyExports = map[string]string{
 	"backend.NewStore":                  "test constructor: an in-memory store for server and cluster tests",
 	"backend.StaleError.Is":             "interface method: errors.Is matches ErrStale through it",
-	"backend.Store.DeleteObjectVer":     "test constructor: persists the tombstone floor whose durability and staleness the versioned store tests check",
 	"backend.Store.Down":                "test observation point: tests read the injected region-failure flag",
 	"backend.Store.Keys":                "test observation point: the object keys a region holds",
 	"backend.Store.Region":              "test observation point: the region a store serves",
@@ -291,7 +531,6 @@ var testOnlyExports = map[string]string{
 	"coop.Advertiser.DeltaPushes":       "test observation point: tests check a push travelled as a delta",
 	"coop.Advertiser.Stats":             "test observation point: the advertiser's push counters",
 	"coop.Mirror.Keys":                  "test observation point: how many keys a mirror holds",
-	"coop.Mirror.VersionOf":             "test observation point: the version a peer last advertised for a key",
 	"coop.Table.Regions":                "test observation point: the peer regions with a mirror",
 	"core.CacheManager.Compute":         "test observation point: the planning core without touching the cache",
 	"core.ExactMCKP":                    "reference oracle: the exact knapsack optimum POPULATE and greedy are checked against",

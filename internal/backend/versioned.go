@@ -5,11 +5,11 @@
 // (8 bytes, big endian), and every versioned key carries a persisted
 // version record at store.VersionIndex in the same bucket. Reads consult
 // the record to know whether a key's chunks are framed; writes enforce
-// last-writer-wins against it — a put or delete older than the record is
-// refused with a StaleError instead of clobbering newer data. The record
-// is written after the chunks it describes, so a reported version is never
-// newer than the data a concurrent reader fetched (reads check the record
-// first; see docs/WRITES.md for the torn-window analysis).
+// last-writer-wins against it — a put older than the record is refused
+// with a StaleError instead of clobbering newer data. The record is written
+// after the chunks it describes, so a reported version is never newer than
+// the data a concurrent reader fetched (reads check the record first; see
+// docs/WRITES.md for the torn-window analysis).
 //
 // The in-memory record cache assumes one Store instance owns its bucket's
 // write traffic — the live deployment's one-store-server-per-region shape.
@@ -209,38 +209,4 @@ func (s *Store) GetMultiVer(key string, indices []int) (map[int][]byte, map[int]
 		vers[idx] = ver
 	}
 	return chunks, vers, floor, nil
-}
-
-// DeleteObjectVer removes the object's chunks and persists ver as a
-// tombstone floor, so a write older than the delete is still refused after
-// a restart. It reports whether the delete applied; a version older than
-// the current floor is refused with a StaleError. The blob delete removes
-// the old record along with the chunks and the tombstone is re-put after,
-// so a crash exactly between the two loses the floor — the recovery cost
-// is one spurious admit of an old write, not data corruption.
-func (s *Store) DeleteObjectVer(key string, ver uint64) (bool, error) {
-	if ver == 0 {
-		_, err := s.blob.DeleteObject(context.Background(), s.bucket, key)
-		return err == nil, err
-	}
-	cur, err := s.VersionOf(key)
-	if err != nil {
-		return false, err
-	}
-	if ver < cur {
-		return false, &StaleError{Cur: cur}
-	}
-	if _, err := s.blob.DeleteObject(context.Background(), s.bucket, key); err != nil {
-		return false, err
-	}
-	if err := store.PutVersion(context.Background(), s.blob, s.bucket, key, ver); err != nil {
-		return false, err
-	}
-	vc := s.ensureVersions()
-	vc.mu.Lock()
-	if vc.vers[key] < ver {
-		vc.vers[key] = ver
-	}
-	vc.mu.Unlock()
-	return true, nil
 }

@@ -161,49 +161,3 @@ func TestVersionedMonotonicity(t *testing.T) {
 		})
 	}
 }
-
-func TestVersionedInvalidationSurvivesReopen(t *testing.T) {
-	for _, fx := range versionedFixtures() {
-		t.Run(fx.name, func(t *testing.T) {
-			s, reopen := fx.open(t)
-			v1 := uint64(hlc.Pack(1000, 0))
-			if err := s.PutMultiVer("obj", map[int][]byte{0: []byte("doomed")}, v1); err != nil {
-				t.Fatal(err)
-			}
-
-			vDel := uint64(hlc.Pack(2000, 0))
-			ok, err := s.DeleteObjectVer("obj", vDel)
-			if err != nil || !ok {
-				t.Fatalf("delete: ok=%v err=%v", ok, err)
-			}
-			if _, err := s.Get(ChunkID{Key: "obj", Index: 0}); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("chunk survived delete: %v", err)
-			}
-
-			// A delete older than the tombstone is refused.
-			if _, err := s.DeleteObjectVer("obj", v1); !errors.Is(err, ErrStale) {
-				t.Fatalf("stale delete: %v", err)
-			}
-
-			// After a restart the tombstone still blocks the pre-delete
-			// write — the invalidation is durable, not just cached.
-			s2 := reopen()
-			if ver, err := s2.VersionOf("obj"); err != nil || ver != vDel {
-				t.Fatalf("tombstone floor after reopen = %d, %v", ver, err)
-			}
-			if err := s2.PutVer(ChunkID{Key: "obj", Index: 0}, []byte("zombie"), v1); !errors.Is(err, ErrStale) {
-				t.Fatalf("pre-delete write admitted after reopen: %v", err)
-			}
-
-			// A genuinely newer write reclaims the key.
-			v3 := uint64(hlc.Pack(3000, 0))
-			if err := s2.PutVer(ChunkID{Key: "obj", Index: 0}, []byte("reborn"), v3); err != nil {
-				t.Fatal(err)
-			}
-			data, ver, err := getVer(s2, ChunkID{Key: "obj", Index: 0})
-			if err != nil || ver != v3 || !bytes.Equal(data, []byte("reborn")) {
-				t.Fatalf("rebirth: %q v%d, %v", data, ver, err)
-			}
-		})
-	}
-}

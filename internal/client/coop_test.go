@@ -96,7 +96,7 @@ func TestDigestMirrorPlugsIntoKnapsack(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	mirror.ApplyVer(1, map[string][]int{"object-00000": all}, nil)
+	mirror.Apply(1, map[string][]int{"object-00000": all})
 	fra.AddPeer(geo.Dublin, mirror, 40*time.Millisecond)
 
 	reader := NewAgarReader(env, geo.Frankfurt, fra)

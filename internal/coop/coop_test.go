@@ -16,7 +16,7 @@ func TestMirrorApplyReplaceMergeStale(t *testing.T) {
 	if _, ok := m.Age(); ok {
 		t.Fatal("fresh mirror reports an age")
 	}
-	if !m.ApplyVer(1, map[string][]int{"a": {0, 2}}, nil) {
+	if !m.Apply(1, map[string][]int{"a": {0, 2}}) {
 		t.Fatal("first digest rejected")
 	}
 	if got := m.IndicesOf("a"); !reflect.DeepEqual(got, []int{0, 2}) {
@@ -27,7 +27,7 @@ func TestMirrorApplyReplaceMergeStale(t *testing.T) {
 	}
 
 	// Same seq merges (pagination).
-	if !m.ApplyVer(1, map[string][]int{"b": {5}}, nil) {
+	if !m.Apply(1, map[string][]int{"b": {5}}) {
 		t.Fatal("same-seq page rejected")
 	}
 	if m.Keys() != 2 {
@@ -35,7 +35,7 @@ func TestMirrorApplyReplaceMergeStale(t *testing.T) {
 	}
 
 	// Higher seq replaces wholesale.
-	if !m.ApplyVer(2, map[string][]int{"c": {1}}, nil) {
+	if !m.Apply(2, map[string][]int{"c": {1}}) {
 		t.Fatal("newer digest rejected")
 	}
 	if m.Contains(cache.EntryID{Key: "a", Index: 0}) {
@@ -46,7 +46,7 @@ func TestMirrorApplyReplaceMergeStale(t *testing.T) {
 	}
 
 	// Lower seq is stale.
-	if m.ApplyVer(1, map[string][]int{"z": {9}}, nil) {
+	if m.Apply(1, map[string][]int{"z": {9}}) {
 		t.Fatal("stale digest applied")
 	}
 	if m.Seq() != 2 {
@@ -54,7 +54,7 @@ func TestMirrorApplyReplaceMergeStale(t *testing.T) {
 	}
 
 	// An empty newer digest clears the view.
-	if !m.ApplyVer(3, map[string][]int{}, nil) {
+	if !m.Apply(3, map[string][]int{}) {
 		t.Fatal("empty digest rejected")
 	}
 	if m.Keys() != 0 {
@@ -69,7 +69,7 @@ func TestMirrorAgeUsesClock(t *testing.T) {
 	m := NewMirror("tokyo")
 	now := time.Unix(1000, 0)
 	m.now = func() time.Time { return now }
-	m.ApplyVer(1, map[string][]int{"k": {0}}, nil)
+	m.Apply(1, map[string][]int{"k": {0}})
 	now = now.Add(42 * time.Second)
 	age, ok := m.Age()
 	if !ok || age != 42*time.Second {
@@ -102,7 +102,7 @@ func TestPaginateSplitsDeterministically(t *testing.T) {
 	// Applying all frames at one seq reconstructs the snapshot.
 	m := NewMirror("fra")
 	for _, f := range frames {
-		if !m.ApplyVer(f.Seq, f.Groups, nil) {
+		if !m.Apply(f.Seq, f.Groups) {
 			t.Fatal("page rejected")
 		}
 	}

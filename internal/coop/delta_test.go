@@ -29,15 +29,15 @@ func TestMirrorApplyDelta(t *testing.T) {
 	m := NewMirror("dublin")
 
 	// A delta against a virgin mirror is rejected: nothing to delta from.
-	if m.ApplyDeltaVer(2, 1, map[string][]int{"a": {0}}, nil) {
+	if m.ApplyDelta(2, 1, map[string][]int{"a": {0}}) {
 		t.Fatal("delta applied to empty mirror")
 	}
 
-	if !m.ApplyVer(10, map[string][]int{"a": {0, 1}, "b": {2}}, nil) {
+	if !m.Apply(10, map[string][]int{"a": {0, 1}, "b": {2}}) {
 		t.Fatal("full digest rejected")
 	}
 	// Delta at the right base: change a, remove b, add c.
-	if !m.ApplyDeltaVer(11, 10, map[string][]int{"a": {1}, "b": {}, "c": {7}}, nil) {
+	if !m.ApplyDelta(11, 10, map[string][]int{"a": {1}, "b": {}, "c": {7}}) {
 		t.Fatal("aligned delta rejected")
 	}
 	if got := m.IndicesOf("a"); !reflect.DeepEqual(got, []int{1}) {
@@ -54,7 +54,7 @@ func TestMirrorApplyDelta(t *testing.T) {
 	}
 
 	// A later page of the same delta snapshot merges.
-	if !m.ApplyDeltaVer(11, 10, map[string][]int{"d": {9}}, nil) {
+	if !m.ApplyDelta(11, 10, map[string][]int{"d": {9}}) {
 		t.Fatal("same-seq delta page rejected")
 	}
 	if got := m.IndicesOf("d"); !reflect.DeepEqual(got, []int{9}) {
@@ -62,17 +62,17 @@ func TestMirrorApplyDelta(t *testing.T) {
 	}
 
 	// Base mismatch (mirror at 11, delta over 10) is rejected outright.
-	if m.ApplyDeltaVer(12, 10, map[string][]int{"a": {}}, nil) {
+	if m.ApplyDelta(12, 10, map[string][]int{"a": {}}) {
 		t.Fatal("misaligned delta applied")
 	}
 	if got := m.IndicesOf("a"); !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("rejected delta mutated the mirror: a = %v", got)
 	}
 	// A same-seq page with no groups is fine; a stale delta is not.
-	if !m.ApplyDeltaVer(11, 10, nil, nil) {
+	if !m.ApplyDelta(11, 10, nil) {
 		t.Fatal("same-seq empty page rejected")
 	}
-	if m.ApplyDeltaVer(9, 8, map[string][]int{"z": {1}}, nil) {
+	if m.ApplyDelta(9, 8, map[string][]int{"z": {1}}) {
 		t.Fatal("stale delta applied")
 	}
 }
@@ -83,8 +83,8 @@ func TestPaginateDeltaEmptyStillAdvances(t *testing.T) {
 		t.Fatalf("frames = %+v", frames)
 	}
 	m := NewMirror("fra")
-	m.ApplyVer(4, map[string][]int{"a": {0}}, nil)
-	if !m.ApplyDeltaVer(frames[0].Seq, frames[0].Base, frames[0].Groups, nil) {
+	m.Apply(4, map[string][]int{"a": {0}})
+	if !m.ApplyDelta(frames[0].Seq, frames[0].Base, frames[0].Groups) {
 		t.Fatal("empty delta rejected")
 	}
 	if m.Seq() != 5 {
@@ -109,10 +109,10 @@ func (s *seqTarget) SendDigest(d Digest) error {
 	s.frames = append(s.frames, d)
 	if s.mirror != nil {
 		if d.Delta {
-			if !s.mirror.ApplyDeltaVer(d.Seq, d.Base, d.Groups, nil) {
+			if !s.mirror.ApplyDelta(d.Seq, d.Base, d.Groups) {
 				return errFail
 			}
-		} else if !s.mirror.ApplyVer(d.Seq, d.Groups, nil) {
+		} else if !s.mirror.Apply(d.Seq, d.Groups) {
 			return errFail
 		}
 	}

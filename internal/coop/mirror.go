@@ -19,7 +19,6 @@ type Mirror struct {
 	region  string
 	seq     int64
 	groups  map[string]map[int]bool
-	vers    map[string]uint64
 	updated time.Time
 	applied int64
 
@@ -32,7 +31,6 @@ func NewMirror(region string) *Mirror {
 	return &Mirror{
 		region: region,
 		groups: make(map[string]map[int]bool),
-		vers:   make(map[string]uint64),
 		now:    time.Now,
 	}
 }
@@ -49,22 +47,17 @@ func (m *Mirror) SetClock(now func() time.Time) {
 	}
 }
 
-// ApplyVer folds one digest frame in. A frame with a higher sequence
+// Apply folds one digest frame in. A frame with a higher sequence
 // replaces the whole view (the first page of a new snapshot); frames
 // sharing the current sequence merge (later pages); lower sequences are
-// rejected as stale. It reports whether the frame was applied. Applied keys
-// record the per-key write version the peer advertised (absent entries, or
-// a nil keyVers, clear it), so VersionOf answers how fresh the peer's copy
-// of a key is — the signal that lets a reader skip a peer whose copy
-// predates a known write.
-func (m *Mirror) ApplyVer(seq int64, groups map[string][]int, keyVers map[string]uint64) bool {
+// rejected as stale. It reports whether the frame was applied.
+func (m *Mirror) Apply(seq int64, groups map[string][]int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	switch {
 	case seq > m.seq || m.applied == 0:
 		m.seq = seq
 		m.groups = make(map[string]map[int]bool, len(groups))
-		m.vers = make(map[string]uint64, len(keyVers))
 	case seq < m.seq:
 		return false
 	}
@@ -77,25 +70,20 @@ func (m *Mirror) ApplyVer(seq int64, groups map[string][]int, keyVers map[string
 		for _, idx := range idxs {
 			set[idx] = true
 		}
-		if v := keyVers[key]; v != 0 {
-			m.vers[key] = v
-		}
 	}
 	m.updated = m.now()
 	m.applied++
 	return true
 }
 
-// ApplyDeltaVer folds one delta frame in: groups list only changed keys, an
+// ApplyDelta folds one delta frame in: groups list only changed keys, an
 // empty index list deleting the key. The delta applies only when the
 // mirror sits exactly at base (advancing it to seq) or is already at seq
 // (a later page of the same delta snapshot); any other state — including a
 // mirror that never received a full digest — rejects the frame, and the
-// advertiser's ack check falls it back to a full digest. Every changed
-// key's version is replaced by what keyVers advertises (absent — including
-// an unversioned advertiser's nil map — clears it). It reports whether the
-// frame was applied.
-func (m *Mirror) ApplyDeltaVer(seq, base int64, groups map[string][]int, keyVers map[string]uint64) bool {
+// advertiser's ack check falls it back to a full digest. It reports whether
+// the frame was applied.
+func (m *Mirror) ApplyDelta(seq, base int64, groups map[string][]int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	switch {
@@ -111,7 +99,6 @@ func (m *Mirror) ApplyDeltaVer(seq, base int64, groups map[string][]int, keyVers
 	for key, idxs := range groups {
 		if len(idxs) == 0 {
 			delete(m.groups, key)
-			delete(m.vers, key)
 			continue
 		}
 		set := make(map[int]bool, len(idxs))
@@ -119,24 +106,10 @@ func (m *Mirror) ApplyDeltaVer(seq, base int64, groups map[string][]int, keyVers
 			set[idx] = true
 		}
 		m.groups[key] = set
-		if v := keyVers[key]; v != 0 {
-			m.vers[key] = v
-		} else {
-			delete(m.vers, key)
-		}
 	}
 	m.updated = m.now()
 	m.applied++
 	return true
-}
-
-// VersionOf returns the write version the peer last advertised for a key,
-// zero when it advertised none (an unversioned key, or a mirror that has
-// not heard of the key).
-func (m *Mirror) VersionOf(key string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.vers[key]
 }
 
 // IndicesOf returns the peer's advertised resident chunk indices for a

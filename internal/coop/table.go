@@ -73,12 +73,12 @@ func (t *Table) Apply(d Digest) bool {
 	m := t.Mirror(d.Region)
 	var ok bool
 	if d.Delta {
-		ok = m.ApplyDeltaVer(d.Seq, d.Base, d.Groups, d.KeyVers)
+		ok = m.ApplyDelta(d.Seq, d.Base, d.Groups)
 		if ok {
 			t.deltas.Add(1)
 		}
 	} else {
-		ok = m.ApplyVer(d.Seq, d.Groups, d.KeyVers)
+		ok = m.Apply(d.Seq, d.Groups)
 	}
 	if ok {
 		t.digests.Add(1)

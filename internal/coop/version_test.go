@@ -65,56 +65,26 @@ func TestPaginateVerAttachesPageLocalVersions(t *testing.T) {
 	}
 }
 
-func TestMirrorVersionLifecycle(t *testing.T) {
-	m := NewMirror("dublin")
-	m.ApplyVer(1, map[string][]int{"obj": {0, 1}}, map[string]uint64{"obj": 100})
-	if m.VersionOf("obj") != 100 {
-		t.Fatalf("VersionOf = %d", m.VersionOf("obj"))
-	}
-
-	// A delta re-advertising the key at a newer version replaces it.
-	if !m.ApplyDeltaVer(2, 1, map[string][]int{"obj": {0, 1}}, map[string]uint64{"obj": 200}) {
-		t.Fatal("delta rejected")
-	}
-	if m.VersionOf("obj") != 200 {
-		t.Fatalf("after delta: %d", m.VersionOf("obj"))
-	}
-
-	// A delta deleting the key clears its version too.
-	if !m.ApplyDeltaVer(3, 2, map[string][]int{"obj": {}}, nil) {
-		t.Fatal("deletion delta rejected")
-	}
-	if m.VersionOf("obj") != 0 || m.Keys() != 0 {
-		t.Fatalf("after deletion: v%d keys=%d", m.VersionOf("obj"), m.Keys())
-	}
-
-	// A full digest replaces the version view wholesale.
-	m.ApplyVer(4, map[string][]int{"other": {2}}, nil)
-	if m.VersionOf("obj") != 0 || m.VersionOf("other") != 0 {
-		t.Fatal("full apply leaked old versions")
-	}
-}
-
 // TestAdvertiserVersionDelta drives an advertiser over a versioned source:
-// a version-only change must still travel as a delta, and the table's floor
-// view must follow it.
+// a version-only change must still travel as a delta carrying the new
+// version, so the receiver's floor can follow it.
 func TestAdvertiserVersionDelta(t *testing.T) {
 	src := &versionedSource{
 		groups: map[string][]int{"obj": {0, 1}},
 		vers:   map[string]uint64{"obj": 100},
 	}
-	table := NewTable()
+	var sent []Digest
 	adv := NewAdvertiser("tokyo", src, 0)
 	adv.AddTarget("dublin", targetFunc(func(d Digest) error {
-		table.Apply(d)
+		sent = append(sent, d)
 		return nil
 	}))
 
 	if adv.Advertise() != 0 {
 		t.Fatal("first advertise failed")
 	}
-	if got := table.Mirror("tokyo").VersionOf("obj"); got != 100 {
-		t.Fatalf("after full digest: %d", got)
+	if len(sent) != 1 || sent[0].Delta || sent[0].KeyVers["obj"] != 100 {
+		t.Fatalf("first push = %+v, want a full digest advertising obj@100", sent)
 	}
 
 	// Bump only the version — residency unchanged.
@@ -125,8 +95,9 @@ func TestAdvertiserVersionDelta(t *testing.T) {
 	if adv.DeltaPushes() != 1 {
 		t.Fatalf("version bump did not travel as a delta (deltas=%d)", adv.DeltaPushes())
 	}
-	if got := table.Mirror("tokyo").VersionOf("obj"); got != 250 {
-		t.Fatalf("after delta: %d", got)
+	last := sent[len(sent)-1]
+	if !last.Delta || last.KeyVers["obj"] != 250 || !reflect.DeepEqual(last.Groups["obj"], []int{0, 1}) {
+		t.Fatalf("delta = %+v, want obj [0 1] at 250", last)
 	}
 }
 

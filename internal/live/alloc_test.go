@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -33,16 +34,6 @@ func legacyMGetReply(c *cache.Cache, w io.Writer, key string, indices []int) err
 	return wire.Write(w, wire.Message{
 		Header: wire.Header{Op: wire.OpOK, Indices: idxs, Sizes: sizes}, Body: body,
 	})
-}
-
-// legacyGetReply is the pre-pool single-get reply: cache copy, Encode
-// copy, Write.
-func legacyGetReply(c *cache.Cache, w io.Writer, key string, index int) error {
-	b, err := c.Get(cache.EntryID{Key: key, Index: index})
-	if err != nil {
-		return wire.Write(w, wire.Message{Header: wire.Header{Op: wire.OpNotFound}})
-	}
-	return wire.Write(w, wire.Message{Header: wire.Header{Op: wire.OpOK}, Body: b})
 }
 
 // benchCache returns a cache warmed with nChunks chunks of chunkBytes each
@@ -95,35 +86,6 @@ func BenchmarkMGetReplyPooled(b *testing.B) {
 	b.SetBytes(benchChunks * benchChunkBytes)
 	for i := 0; i < b.N; i++ {
 		if err := pooledMGetReply(h, bp, io.Discard, "obj", indices); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if n := bp.Outstanding(); n != 0 {
-		b.Fatalf("benchmark leaked %d pooled buffers", n)
-	}
-}
-
-// BenchmarkGetReplyLegacy / Pooled: the single-chunk version of the pair.
-func BenchmarkGetReplyLegacy(b *testing.B) {
-	c, _ := benchCache(b, benchChunks, benchChunkBytes)
-	b.ReportAllocs()
-	b.SetBytes(benchChunkBytes)
-	for i := 0; i < b.N; i++ {
-		if err := legacyGetReply(c, io.Discard, "obj", i%benchChunks); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGetReplyPooled(b *testing.B) {
-	c, _ := benchCache(b, benchChunks, benchChunkBytes)
-	bp := wire.NewBufferPool()
-	h := cacheHandler(c, nil, coherence.NewVersionTable(), nil, bp)
-	b.ReportAllocs()
-	b.SetBytes(benchChunkBytes)
-	for i := 0; i < b.N; i++ {
-		resp := h(wire.Message{Header: wire.Header{Op: wire.OpGet, Key: "obj", Index: i % benchChunks}})
-		if err := wire.WriteVectored(io.Discard, resp, bp); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -216,7 +178,7 @@ func TestPooledReplyParity(t *testing.T) {
 	}
 }
 
-// TestServerPoolNoLeak hammers a live server over every hot op — gets,
+// TestServerPoolNoLeak hammers a live server over every hot op — hits,
 // misses, single- and multi-shard mgets, mputs, errors, pipelined and
 // pooled-connection clients — then requires the buffer pool to quiesce to
 // zero outstanding buffers: every frame read and every reply written gave
@@ -231,11 +193,11 @@ func TestServerPoolNoLeak(t *testing.T) {
 
 	remote := NewRemoteCache(srv.Addr())
 	defer remote.Close()
-	p, err := DialPipelined(srv.Addr(), 16)
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
+	defer conn.Close()
 
 	chunks := map[int][]byte{}
 	for i := 0; i < 32; i++ {
@@ -258,16 +220,16 @@ func TestServerPoolNoLeak(t *testing.T) {
 		if _, err := remote.GetMulti("obj", indices); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pipeMGet(p, "obj", indices[:4]); err != nil {
-			t.Fatal(err)
-		}
-		// An op the server rejects exercises the error-reply path.
-		if _, err := p.Go(wire.Message{Header: wire.Header{Op: "bogus"}}).Wait(); err == nil {
-			t.Fatal("bogus op succeeded")
+		// Pipelined on the raw connection: a partial mget, an op the
+		// server rejects (the error-reply path), and a miss.
+		replies := pipeline(t, conn, mgetFrame("obj", indices[:4]...),
+			wire.Message{Header: wire.Header{Op: "bogus"}}, mgetFrame("missing", 0))
+		if len(replies[0].Header.Indices) != 4 || replies[1].Header.Op != wire.OpError || replies[2].Header.Op != wire.OpOK {
+			t.Fatalf("pipelined replies %+v / %+v / %+v", replies[0].Header, replies[1].Header, replies[2].Header)
 		}
 	}
 	remote.Close()
-	p.Close()
+	conn.Close()
 
 	deadline := time.Now().Add(2 * time.Second)
 	for srv.PoolOutstanding() != 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"net"
 	"sort"
 	"sync"
 	"testing"
@@ -17,17 +18,17 @@ import (
 	"github.com/agardist/agar/internal/wire"
 )
 
-// cacheGet fetches one chunk over the cache server's single-chunk get, the
-// op agar-bench's probe and load generator send.
+// cacheGet fetches one chunk through the cache server's batched read.
 func cacheGet(c *RemoteCache, id cache.EntryID) ([]byte, error) {
-	resp, err := c.rc.call(wire.Message{Header: wire.Header{Op: wire.OpGet, Key: id.Key, Index: id.Index}})
+	found, err := c.GetMulti(id.Key, []int{id.Index})
 	if err != nil {
 		return nil, err
 	}
-	if resp.Header.Op == wire.OpNotFound {
+	data, ok := found[id.Index]
+	if !ok {
 		return nil, cache.ErrNotFound
 	}
-	return resp.Body, nil
+	return data, nil
 }
 
 // storeGet fetches one chunk through the store server's batched read.
@@ -46,6 +47,46 @@ func storeGet(s *RemoteStore, id backend.ChunkID) ([]byte, error) {
 // cachePut inserts one unversioned chunk through the cache server's mput.
 func cachePut(c *RemoteCache, id cache.EntryID, data []byte) error {
 	return c.PutMultiVer(id.Key, map[int][]byte{id.Index: data}, 0)
+}
+
+// mputFrame builds the mput request storing chunks under key.
+func mputFrame(key string, chunks map[int][]byte) wire.Message {
+	indices, sizes, body, err := wire.PackBatch(chunks)
+	if err != nil {
+		panic(err)
+	}
+	return wire.Message{Header: wire.Header{Op: wire.OpMPut, Key: key, Indices: indices, Sizes: sizes}, Body: body}
+}
+
+// mgetFrame builds the mget request for the given chunks of key.
+func mgetFrame(key string, indices ...int) wire.Message {
+	return wire.Message{Header: wire.Header{Op: wire.OpMGet, Key: key, Indices: indices}}
+}
+
+// pipeline writes msgs back to back on conn as one burst, so the server
+// sees them pipelined, then reads one reply per request, in order.
+func pipeline(t testing.TB, conn net.Conn, msgs ...wire.Message) []wire.Message {
+	t.Helper()
+	var burst []byte
+	for _, m := range msgs {
+		frame, err := wire.Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		burst = append(burst, frame...)
+	}
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	replies := make([]wire.Message, len(msgs))
+	for i := range replies {
+		resp, err := wire.Read(conn)
+		if err != nil {
+			t.Fatalf("reply %d of %d: %v", i, len(msgs), err)
+		}
+		replies[i] = resp
+	}
+	return replies
 }
 
 func TestStoreServerRoundTrip(t *testing.T) {

@@ -132,7 +132,7 @@ func (m *serverMetrics) internOps(reg *metrics.Registry, server, region string, 
 func newCacheServerMetrics(reg *metrics.Registry, region string, c *cache.Cache, table *coop.Table, depth *atomic.Int64) *serverMetrics {
 	m := &serverMetrics{}
 	m.internOps(reg, "cache", region, []string{
-		wire.OpGet, wire.OpMGet, wire.OpMPut, wire.OpDelObj, wire.OpDigest,
+		wire.OpMGet, wire.OpMPut, wire.OpDelObj, wire.OpDigest,
 	})
 
 	stat := func(sel func(cache.Stats) int64) func() int64 {

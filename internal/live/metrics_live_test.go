@@ -110,13 +110,13 @@ func TestMetricsScrapeMatchesInProcessCounters(t *testing.T) {
 		}
 	}
 
-	// The op latency histograms must have counted the sequence: 2 gets,
-	// 2 mputs, 1 digest and 1 mget.
+	// The op latency histograms must have counted the sequence: 2 mputs,
+	// 1 digest and 3 mgets (the hit, the miss and the peer read).
 	ex, ok := metrics.SelectFamily(fams, metrics.NameServerOpExecute)
 	if !ok {
 		t.Fatalf("scrape missing %s", metrics.NameServerOpExecute)
 	}
-	for op, want := range map[string]uint64{wire.OpGet: 2, wire.OpMPut: 2, wire.OpDigest: 1, wire.OpMGet: 1} {
+	for op, want := range map[string]uint64{wire.OpMPut: 2, wire.OpDigest: 1, wire.OpMGet: 3} {
 		s, ok := metrics.SelectSample(ex, map[string]string{"server": "cache", "op": op})
 		if !ok || s.Count != want {
 			t.Errorf("execute histogram op=%s count = %d (ok=%v), want %d", op, s.Count, ok, want)

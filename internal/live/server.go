@@ -334,7 +334,7 @@ const meanEntryRefresh = 512
 // server's version-floor table — versioned mutations are admitted against
 // it and digest KeyVers raise it, dropping outdated cached chunks; sm
 // counts refused mutations and invalidations; bp supplies pooled reply-body
-// buffers for the get/mget hot path (the messages own them, and the serve
+// buffers for the mget hot path (the messages own them, and the serve
 // loop's WriteVectored releases them after the bytes leave the socket).
 func cacheHandler(c *cache.Cache, table *coop.Table, vt *coherence.VersionTable, sm *serverMetrics, bp *wire.BufferPool) handler {
 	// est sizes pooled reply buffers from the cache's mean entry size,
@@ -354,18 +354,6 @@ func cacheHandler(c *cache.Cache, table *coop.Table, vt *coherence.VersionTable,
 	}
 	return func(req wire.Message) wire.Message {
 		switch req.Header.Op {
-		case wire.OpGet:
-			// The chunk copies straight into a pooled buffer under the shard
-			// lock — no per-get allocation once the pool is warm.
-			id := cache.EntryID{Key: req.Header.Key, Index: req.Header.Index}
-			buf, ver, ok := c.GetAppendVer(id, bp.Get(est())[:0])
-			if !ok {
-				bp.Put(buf)
-				return wire.Message{Header: wire.Header{Op: wire.OpNotFound}}
-			}
-			resp := wire.Message{Header: wire.Header{Op: wire.OpOK, Ver: ver}, Body: buf}
-			resp.Own(bp, buf)
-			return resp
 		case wire.OpMGet:
 			n := len(req.Header.Indices)
 			if n > wire.MaxBatchChunks {

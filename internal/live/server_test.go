@@ -205,10 +205,10 @@ func TestDispatchPipelineOrder(t *testing.T) {
 	}
 	defer connA.Close()
 	// Pipeline on A: slow op first, fast op second.
-	if err := wire.Write(connA, wire.Message{Header: wire.Header{Op: wire.OpGet, Index: 0}}); err != nil {
+	if err := wire.Write(connA, wire.Message{Header: wire.Header{Op: wire.OpMGet, Index: 0}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.Write(connA, wire.Message{Header: wire.Header{Op: wire.OpGet, Index: 1}}); err != nil {
+	if err := wire.Write(connA, wire.Message{Header: wire.Header{Op: wire.OpMGet, Index: 1}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -219,7 +219,7 @@ func TestDispatchPipelineOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer connB.Close()
-	resp, err := wire.Call(connB, wire.Message{Header: wire.Header{Op: wire.OpGet, Index: 3}})
+	resp, err := wire.Call(connB, wire.Message{Header: wire.Header{Op: wire.OpMGet, Index: 3}})
 	if err != nil || resp.Header.Index != 3 {
 		t.Fatalf("conn B overtake: %+v, %v", resp.Header, err)
 	}
@@ -253,45 +253,24 @@ func TestControlOpOrdersAfterPipelinedOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		const puts = 16
-		// One buffered burst so the server sees pipelined frames: puts
-		// across every shard, then the object-level delete, then the
-		// residency probe.
-		var burst []byte
+		// One pipelined burst: puts across every shard, then the
+		// object-level delete, then the residency probe.
+		msgs := make([]wire.Message, 0, puts+2)
 		all := make([]int, puts)
 		for i := 0; i < puts; i++ {
 			all[i] = i
-			frame, err := wire.Encode(mputFrame("obj", map[int][]byte{i: []byte("data")}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			burst = append(burst, frame...)
+			msgs = append(msgs, mputFrame("obj", map[int][]byte{i: []byte("data")}))
 		}
-		for _, h := range []wire.Header{{Op: wire.OpDelObj, Key: "obj", Ver: uint64(round + 1)}, {Op: wire.OpMGet, Key: "obj", Indices: all}} {
-			frame, err := wire.Encode(wire.Message{Header: h})
-			if err != nil {
-				t.Fatal(err)
-			}
-			burst = append(burst, frame...)
-		}
-		if _, err := conn.Write(burst); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < puts+1; i++ {
-			resp, err := wire.Read(conn)
-			if err != nil {
-				t.Fatal(err)
-			}
+		msgs = append(msgs, wire.Message{Header: wire.Header{Op: wire.OpDelObj, Key: "obj", Ver: uint64(round + 1)}}, mgetFrame("obj", all...))
+		replies := pipeline(t, conn, msgs...)
+		for i, resp := range replies[:puts+1] {
 			if resp.Header.Op != wire.OpOK {
 				t.Fatalf("reply %d: %+v", i, resp.Header)
 			}
 		}
-		resp, err := wire.Read(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Header.Indices) != 0 {
+		if probe := replies[puts+1].Header; len(probe.Indices) != 0 {
 			t.Fatalf("round %d: delobj ran before %d pipelined puts finished: residency %v",
-				round, len(resp.Header.Indices), resp.Header.Indices)
+				round, len(probe.Indices), probe.Indices)
 		}
 		conn.Close()
 	}
@@ -314,28 +293,13 @@ func TestStorePipelinedReadYourWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 		key := fmt.Sprintf("obj-%d", round)
-		var burst []byte
-		put, err := wire.Encode(wire.Message{
-			Header: wire.Header{Op: wire.OpPut, Key: key, Index: 5}, Body: []byte("five")})
-		if err != nil {
-			t.Fatal(err)
+		replies := pipeline(t, conn,
+			wire.Message{Header: wire.Header{Op: wire.OpPut, Key: key, Index: 5}, Body: []byte("five")},
+			mgetFrame(key, 5))
+		if put := replies[0].Header; put.Op != wire.OpOK {
+			t.Fatalf("put reply: %+v", put)
 		}
-		mget, err := wire.Encode(wire.Message{
-			Header: wire.Header{Op: wire.OpMGet, Key: key, Indices: []int{5}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		burst = append(append(burst, put...), mget...)
-		if _, err := conn.Write(burst); err != nil {
-			t.Fatal(err)
-		}
-		if resp, err := wire.Read(conn); err != nil || resp.Header.Op != wire.OpOK {
-			t.Fatalf("put reply: %+v, %v", resp.Header, err)
-		}
-		resp, err := wire.Read(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
+		resp := replies[1]
 		got, err := wire.UnpackBatch(resp.Header.Indices, resp.Header.Sizes, resp.Body)
 		if err != nil {
 			t.Fatal(err)
@@ -347,8 +311,101 @@ func TestStorePipelinedReadYourWrites(t *testing.T) {
 	}
 }
 
+// TestPipelinedReadYourWrites pipelines mput/mget pairs for many chunks of
+// one key on one cache-server connection: replies come back in request
+// order, and every mget observes the mput pipelined just before it.
+func TestPipelinedReadYourWrites(t *testing.T) {
+	srv, err := NewCacheServer("127.0.0.1:0", cache.NewSharded(1<<24, 8, func() cache.Policy { return cache.NewLRU() }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn := mustDial(t, srv.Addr())
+
+	const n = 200
+	msgs := make([]wire.Message, 0, 2*n)
+	for i := 0; i < n; i++ {
+		msgs = append(msgs, mputFrame("k", map[int][]byte{i: []byte(fmt.Sprintf("chunk-%d", i))}), mgetFrame("k", i))
+	}
+	replies := pipeline(t, conn, msgs...)
+	for i := 0; i < n; i++ {
+		if put := replies[2*i].Header; put.Op != wire.OpOK {
+			t.Fatalf("mput %d: %+v", i, put)
+		}
+		get := replies[2*i+1]
+		got, err := wire.UnpackBatch(get.Header.Indices, get.Header.Sizes, get.Body)
+		if err != nil {
+			t.Fatalf("mget %d: %v", i, err)
+		}
+		if want := fmt.Sprintf("chunk-%d", i); !bytes.Equal(got[i], []byte(want)) {
+			t.Fatalf("mget %d = %q, want %q (reply order broken)", i, got[i], want)
+		}
+	}
+}
+
+// TestPipelinedBatchOps pipelines a 32-chunk mput, a cross-shard mget of
+// every chunk and an mget of a missing key on one connection: the batch
+// reads back whole and the miss replies ok with no chunks.
+func TestPipelinedBatchOps(t *testing.T) {
+	srv, err := NewCacheServer("127.0.0.1:0", cache.NewSharded(1<<24, 8, func() cache.Policy { return cache.NewLRU() }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn := mustDial(t, srv.Addr())
+
+	chunks := map[int][]byte{}
+	indices := make([]int, 0, 32)
+	for i := 0; i < 32; i++ {
+		chunks[i] = bytes.Repeat([]byte{byte(i)}, 128)
+		indices = append(indices, i)
+	}
+	replies := pipeline(t, conn, mputFrame("obj", chunks), mgetFrame("obj", indices...), mgetFrame("missing", 0))
+	if put := replies[0].Header; put.Op != wire.OpOK || len(put.Indices) != len(chunks) {
+		t.Fatalf("mput reply %+v, want all %d chunks stored", put, len(chunks))
+	}
+	got, err := wire.UnpackBatch(replies[1].Header.Indices, replies[1].Header.Sizes, replies[1].Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(chunks) {
+		t.Fatalf("got %d chunks, want %d", len(got), len(chunks))
+	}
+	for i, want := range chunks {
+		if !bytes.Equal(got[i], want) {
+			t.Fatalf("chunk %d mismatch", i)
+		}
+	}
+	if miss := replies[2].Header; miss.Op != wire.OpOK || len(miss.Indices) != 0 {
+		t.Fatalf("missing-key mget reply %+v, want ok with no chunks", miss)
+	}
+}
+
+// TestPipelinedRemoteError pipelines a frame the server rejects ahead of a
+// good one on one connection: the bad frame gets its own OpError and the
+// frame behind it is still served.
+func TestPipelinedRemoteError(t *testing.T) {
+	c := cache.NewSharded(1<<24, 8, func() cache.Policy { return cache.NewLRU() })
+	c.Put(cache.EntryID{Key: "k", Index: 1}, []byte("v"))
+	srv, err := NewCacheServer("127.0.0.1:0", c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn := mustDial(t, srv.Addr())
+
+	replies := pipeline(t, conn, wire.Message{Header: wire.Header{Op: "bogus", Key: "k"}}, mgetFrame("k", 1))
+	if bad := replies[0].Header; bad.Op != wire.OpError || !strings.Contains(bad.Error, `"bogus"`) {
+		t.Fatalf("bogus op reply %+v, want an OpError naming it", bad)
+	}
+	good := replies[1]
+	if good.Header.Op != wire.OpOK || !bytes.Equal(good.Body, []byte("v")) {
+		t.Fatalf("follow-up mget = %+v %q", good.Header, good.Body)
+	}
+}
+
 // BenchmarkDispatchGet measures the serial request/response rhythm every
-// pooled client adapter produces.
+// pooled client adapter produces: one single-chunk mget per round trip.
 func BenchmarkDispatchGet(b *testing.B) {
 	c := cache.NewSharded(1<<24, 8, func() cache.Policy { return cache.NewLRU() })
 	srv, err := NewCacheServer("127.0.0.1:0", c)
@@ -369,9 +426,10 @@ func BenchmarkDispatchGet(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchPipelined keeps a 16-frame window in flight on one raw
-// connection — the pipelining client shape, where the server starts each
-// frame as soon as the previous reply is written.
+// BenchmarkDispatchPipelined keeps a 16-frame window of single-chunk mgets
+// in flight on one raw connection — the server's capacity under
+// pipelining, where it starts each frame as soon as the previous reply is
+// written.
 func BenchmarkDispatchPipelined(b *testing.B) {
 	c := cache.NewSharded(1<<24, 8, func() cache.Policy { return cache.NewLRU() })
 	srv, err := NewCacheServer("127.0.0.1:0", c)
@@ -382,6 +440,10 @@ func BenchmarkDispatchPipelined(b *testing.B) {
 	for i := 0; i < 64; i++ {
 		c.Put(cache.EntryID{Key: "k", Index: i}, make([]byte, 1024))
 	}
+	frames := make([]wire.Message, 64)
+	for i := range frames {
+		frames[i] = mgetFrame("k", i)
+	}
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		b.Fatal(err)
@@ -391,7 +453,7 @@ func BenchmarkDispatchPipelined(b *testing.B) {
 	b.ResetTimer()
 	inFlight := 0
 	for i := 0; i < b.N; i++ {
-		if err := wire.Write(conn, wire.Message{Header: wire.Header{Op: wire.OpGet, Key: "k", Index: i % 64}}); err != nil {
+		if err := wire.Write(conn, frames[i%64]); err != nil {
 			b.Fatal(err)
 		}
 		inFlight++
@@ -466,7 +528,7 @@ func TestServerQueueDepthTracksInFlight(t *testing.T) {
 	sm := newCacheServerMetrics(reg, "", c, nil, depth)
 	inner := cacheHandler(c, nil, coherence.NewVersionTable(), sm, wire.NewBufferPool())
 	h := func(req wire.Message) wire.Message {
-		if req.Header.Op == wire.OpGet {
+		if req.Header.Op == wire.OpMGet {
 			arrived <- struct{}{}
 			<-release
 		}
@@ -485,7 +547,7 @@ func TestServerQueueDepthTracksInFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		if err := wire.Write(conn, wire.Message{Header: wire.Header{Op: wire.OpGet, Key: "k", Index: i}}); err != nil {
+		if err := wire.Write(conn, mgetFrame("k", i)); err != nil {
 			t.Fatal(err)
 		}
 		conns = append(conns, conn)
@@ -506,7 +568,7 @@ func TestServerQueueDepthTracksInFlight(t *testing.T) {
 	}
 	close(release)
 	for _, conn := range conns {
-		if resp, err := wire.Read(conn); err != nil || resp.Header.Op != wire.OpNotFound {
+		if resp, err := wire.Read(conn); err != nil || resp.Header.Op != wire.OpOK || len(resp.Header.Indices) != 0 {
 			t.Fatalf("reply: %+v, %v", resp.Header, err)
 		}
 	}
@@ -558,8 +620,8 @@ func TestServersRejectRemovedOps(t *testing.T) {
 		kept    wire.Header // answered after the rejects, on the same connection
 		keptOp  string      // its reply op
 	}{
-		{"cache", cacheSrv.Addr(), append([]string{"put"}, removed...),
-			wire.Header{Op: wire.OpGet, Key: "k"}, wire.OpNotFound},
+		{"cache", cacheSrv.Addr(), append([]string{"get", "put"}, removed...),
+			wire.Header{Op: wire.OpMGet, Key: "k", Indices: []int{0}}, wire.OpOK},
 		{"store", storeSrv.Addr(), append([]string{"get", "delobj"}, removed...),
 			wire.Header{Op: wire.OpMGet, Key: "k", Indices: []int{0}}, wire.OpOK},
 		{"hint", hintSrv.Addr(), removed,

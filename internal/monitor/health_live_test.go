@@ -7,6 +7,8 @@ package monitor_test
 // probes both rely on: red under pressure, green after the drain.
 
 import (
+	"bytes"
+	"net"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -70,32 +72,23 @@ func TestHealthFlipUnderSaturation(t *testing.T) {
 
 	// Saturate: several clients keep a deep pipeline of wide batch reads
 	// in flight so the server's in-flight gauge is visibly non-zero.
+	frame, err := wire.Encode(wire.Message{Header: wire.Header{Op: wire.OpMGet, Key: "obj", Indices: indices}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
-		cl, err := live.DialPipelined(srv.Addr(), 64)
+		conn, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer cl.Close()
-			var pending []*live.PendingReply
-			for {
-				select {
-				case <-stop:
-					for _, p := range pending {
-						_, _ = p.Wait()
-					}
-					return
-				default:
-				}
-				pending = append(pending, cl.Go(wire.Message{Header: wire.Header{Op: wire.OpMGet, Key: "obj", Indices: indices}}))
-				if len(pending) >= 16 {
-					_, _ = pending[0].Wait()
-					pending = pending[1:]
-				}
+			defer conn.Close()
+			if err := pipelineUntil(conn, frame, 16, stop); err != nil {
+				t.Error(err)
 			}
 		}()
 	}
@@ -127,5 +120,27 @@ func TestHealthFlipUnderSaturation(t *testing.T) {
 	}
 	if !sawGreen {
 		t.Fatal("health never recovered after the load stopped")
+	}
+}
+
+// pipelineUntil keeps window copies of one request frame in flight on conn
+// until stop closes: it writes a burst of window frames, reads their
+// replies, and repeats.
+func pipelineUntil(conn net.Conn, frame []byte, window int, stop <-chan struct{}) error {
+	burst := bytes.Repeat(frame, window)
+	for {
+		select {
+		case <-stop:
+			return nil
+		default:
+		}
+		if _, err := conn.Write(burst); err != nil {
+			return err
+		}
+		for i := 0; i < window; i++ {
+			if _, err := wire.Read(conn); err != nil {
+				return err
+			}
+		}
 	}
 }

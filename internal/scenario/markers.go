@@ -3,20 +3,14 @@ package scenario
 import "strings"
 
 // SCENARIOS.md is owned by several writers: agar-suite rewrites the whole
-// file on every full run, agar-bench -load contributes one marker-fenced
-// section with the latest saturation sweep, agar-suite -soak another with
-// the latest long-soak timeline, and a third holds the POPULATE-vs-optimum
-// value gap published from core.BenchmarkSolve. The markers let each
+// file on every full run, agar-suite -soak contributes one marker-fenced
+// section with the latest long-soak timeline, and a second holds the
+// POPULATE-vs-optimum value gap published from core.BenchmarkSolve. The markers let each
 // writer replace its own block without clobbering the others': side
 // writers splice between their markers (SpliceMarked), and the full-suite
 // rewrite carries every existing marked block forward verbatim when it
 // regenerates the rest of the file (ExtractMarked).
 const (
-	// LoadSectionBegin and LoadSectionEnd fence the open-loop saturation
-	// sweep section that cmd/agar-bench -load maintains in SCENARIOS.md.
-	LoadSectionBegin = "<!-- agar-bench:load:begin -->"
-	LoadSectionEnd   = "<!-- agar-bench:load:end -->"
-
 	// SoakSectionBegin and SoakSectionEnd fence the long-soak section that
 	// agar-suite -soak maintains in SCENARIOS.md.
 	SoakSectionBegin = "<!-- agar-suite:soak:begin -->"

@@ -121,7 +121,7 @@ func TestReadPooledRoundTrip(t *testing.T) {
 // — truncated body, bad header length, header decode failure, torn length
 // prefix — must return the pooled frame before reporting.
 func TestReadPooledErrorPathsDoNotLeak(t *testing.T) {
-	good := frameFor(t, Message{Header: Header{Op: OpGet, Key: "k"}, Body: []byte("bb")})
+	good := frameFor(t, Message{Header: Header{Op: OpPut, Key: "k"}, Body: []byte("bb")})
 
 	truncated := good[:len(good)-1] // stream ends mid-body
 

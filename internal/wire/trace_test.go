@@ -57,9 +57,9 @@ func TestHeaderTraceParity(t *testing.T) {
 		body   []byte
 	}{
 		{
-			name:   "get request",
-			now:    Header{Op: OpGet, Key: "obj-7", Index: 3},
-			legacy: legacyHeader{Op: OpGet, Key: "obj-7", Index: 3},
+			name:   "put request",
+			now:    Header{Op: OpPut, Key: "obj-7", Index: 3},
+			legacy: legacyHeader{Op: OpPut, Key: "obj-7", Index: 3},
 		},
 		{
 			name:   "mget request with region",
@@ -167,7 +167,7 @@ func FuzzTraceHeaderRoundTrip(f *testing.F) {
 	f.Add("", "", 0, "", int64(0), int64(0))
 	f.Add("ffffffffffffffff", "0000000000000001", 3, "p0/queue", int64(-4), int64(1<<40))
 	f.Fuzz(func(t *testing.T, tr, span string, flags int, annName string, off, dur int64) {
-		h := Header{Op: OpGet, Key: "k", Trace: tr, Span: span, TFlags: flags}
+		h := Header{Op: OpPut, Key: "k", Trace: tr, Span: span, TFlags: flags}
 		if annName != "" {
 			h.Anns = []trace.Annotation{{Name: annName, OffUS: off, DurUS: dur}}
 		}
@@ -186,7 +186,7 @@ func FuzzTraceHeaderRoundTrip(f *testing.F) {
 			t.Fatalf("annotations mangled: got %+v want %+v", got.Header.Anns, h.Anns)
 		}
 		if tr == "" && span == "" && flags == 0 && annName == "" {
-			plain, err := Encode(Message{Header: Header{Op: OpGet, Key: "k"}})
+			plain, err := Encode(Message{Header: Header{Op: OpPut, Key: "k"}})
 			if err != nil {
 				t.Fatal(err)
 			}

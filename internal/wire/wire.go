@@ -38,7 +38,6 @@ const MaxBatchChunks = 256
 
 // Op codes carried in Header.Op.
 const (
-	OpGet       = "get"        // fetch one chunk from a cache
 	OpPut       = "put"        // store one chunk in a region's store
 	OpMGet      = "mget"       // fetch many chunks of one key in one round trip
 	OpMPut      = "mput"       // store many chunks of one key in one round trip
@@ -48,7 +47,6 @@ const (
 	OpDigestAck = "digest-ack" // acknowledge a digest frame (echoes Seq)
 	OpOK        = "ok"         // success response
 	OpError     = "error"      // failure response
-	OpNotFound  = "not-found"  // missing chunk response
 	OpStale     = "stale"      // versioned mutation lost to a newer version
 )
 

@@ -11,7 +11,7 @@ import (
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	msgs := []Message{
-		{Header: Header{Op: OpGet, Key: "obj", Index: 4}},
+		{Header: Header{Op: OpPut, Key: "obj", Index: 4}},
 		{Header: Header{Op: OpOK}, Body: []byte("chunk-bytes")},
 		{Header: Header{Op: OpHint, Key: "k", Indices: []int{4, 3, 9}}},
 		{Header: Header{Op: OpError, Error: "boom"}},
@@ -103,7 +103,7 @@ func TestCallOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	resp, err := Call(conn, Message{Header: Header{Op: OpGet, Key: "ping"}})
+	resp, err := Call(conn, Message{Header: Header{Op: OpPut, Key: "ping"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestCallSurfacesRemoteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := Call(conn, Message{Header: Header{Op: OpGet}}); err == nil {
+	if _, err := Call(conn, Message{Header: Header{Op: OpPut}}); err == nil {
 		t.Fatal("remote error not surfaced")
 	}
 }
@@ -200,7 +200,7 @@ func TestEncodeDecodeQuick(t *testing.T) {
 // TestDecodeHeaderLengthValidation table-drives Decode over frames whose
 // declared header length disagrees with the frame's actual size.
 func TestDecodeHeaderLengthValidation(t *testing.T) {
-	valid, err := Encode(Message{Header: Header{Op: OpGet, Key: "k"}})
+	valid, err := Encode(Message{Header: Header{Op: OpPut, Key: "k"}})
 	if err != nil {
 		t.Fatal(err)
 	}
